@@ -28,13 +28,14 @@ from .seeding import mix_seed
 
 # memory cap for the chunked all-pairs distance sweep (floats per chunk)
 _DIST_CHUNK_BUDGET = 20_000_000
+# node pairs per Jaccard chunk; bounds the adjacency rows sliced at once
+_JACCARD_CHUNK = 2048
 
 
-def _sparse_adjacency(g: Graph) -> csr_matrix:
-    rows = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
-    cols = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
-    data = np.ones(len(rows))
-    return csr_matrix((data, (rows, cols)), shape=(g.num_nodes, g.num_nodes))
+def _adjacency_matrix(g: Graph) -> csr_matrix:
+    adj = build_adjacency(g)
+    ones = np.ones(len(adj.neighbors))
+    return csr_matrix((ones, adj.neighbors, adj.indptr), shape=(g.num_nodes, g.num_nodes))
 
 
 def _khop_counts(g: Graph, depths: tuple[int, ...]) -> np.ndarray:
@@ -44,7 +45,7 @@ def _khop_counts(g: Graph, depths: tuple[int, ...]) -> np.ndarray:
     counts = np.zeros((len(depths), n), dtype=np.int64)
     if n == 0 or g.num_edges == 0:
         return counts
-    adj = _sparse_adjacency(g)
+    adj = _adjacency_matrix(g)
     chunk = max(1, _DIST_CHUNK_BUDGET // n)
     for start in range(0, n, chunk):
         idx = np.arange(start, min(start + chunk, n))
@@ -187,20 +188,22 @@ def jaccard_locality(g: Graph, g_pruned: Graph, pairs) -> np.ndarray:
     """
     if g_pruned.num_nodes != g.num_nodes:
         raise ValueError("pruned graph must keep the original node set")
-    adj_before = build_adjacency(g)
-    adj_after = build_adjacency(g_pruned)
-
-    def jac(adj, u: int, v: int) -> float:
-        nu = set(adj.neighbors_of(u).tolist())
-        nv = set(adj.neighbors_of(v).tolist())
-        union = nu | nv
-        if not union:
-            return 1.0
-        return len(nu & nv) / len(union)
+    pairs = np.asarray(pairs).reshape(-1, 2)  # ids beyond int64 stay objects until checked
+    bad = ((pairs < 0) | (pairs >= g.num_nodes)).any(axis=1)
+    if bad.any():
+        u, v = pairs[bad][0]
+        raise ValueError(f"pair ({u}, {v}) out of range")
+    pairs = pairs.astype(np.int64)
 
     out = np.empty((len(pairs), 2))
-    for i, (u, v) in enumerate(pairs):
-        if not (0 <= u < g.num_nodes and 0 <= v < g.num_nodes):
-            raise ValueError(f"pair ({u}, {v}) out of range")
-        out[i] = (jac(adj_before, u, v), jac(adj_after, u, v))
+    for col, graph in enumerate((g, g_pruned)):
+        adj = _adjacency_matrix(graph)
+        deg = np.diff(adj.indptr)
+        for start in range(0, len(pairs), _JACCARD_CHUNK):
+            u, v = pairs[start : start + _JACCARD_CHUNK].T
+            inter = np.asarray(adj[u].multiply(adj[v]).sum(axis=1)).ravel()
+            union = deg[u] + deg[v] - inter  # |N_u | N_v| = d_u + d_v - |N_u & N_v|
+            out[start : start + len(u), col] = np.divide(
+                inter, union, out=np.ones(len(u)), where=union > 0
+            )
     return out

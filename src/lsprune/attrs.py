@@ -147,11 +147,6 @@ def build_edge_attrs(
         rows = np.array(edge_attrs, dtype=np.float64)
         q, d_e = 0, edge_attrs.shape[1]
 
-    if g.num_edges == 0:
-        # keep a well-defined width even for edgeless graphs
-        width = {NODE_ONLY: 2 * q, NODE_AND_EDGE: 2 * q + d_e, RAW_EDGE: d_e}[mode]
-        rows = rows.reshape(0, width)
-
     return EdgeAttrTable(
         rows=rows,
         mode=mode,
@@ -159,6 +154,12 @@ def build_edge_attrs(
         node_dim=q,
         edge_feat_dim=d_e,
     )
+
+
+def edge_attr_dim(g: Graph, mode: str) -> int:
+    """Width of the rows :func:`build_edge_attrs` assembles for ``g`` under ``mode``."""
+    q, d_e = g.node_dim(), g.edge_dim()
+    return {NODE_ONLY: 2 * q, NODE_AND_EDGE: 2 * q + d_e, RAW_EDGE: d_e}[mode]
 
 
 def embedding_table(m: int, seed: int) -> np.ndarray:

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .analysis import bernoulli_edge_pruner, jaccard_locality, neighborhood_variance_curve
-from .attrs import CANONICAL, CONSTRUCTION_MODES, ENDPOINT_ORDERS
+from .attrs import CANONICAL, CONSTRUCTION_MODES, ENDPOINT_ORDERS, edge_attr_dim
 from .container import (
     ContainerFormatError,
     format_config,
@@ -25,6 +25,7 @@ from .container import (
     parse_config_file,
     parse_container_detailed,
     parse_family,
+    parse_pairs,
     variance_curve_rows,
     write_container,
     write_family,
@@ -160,12 +161,6 @@ def _cmd_prune(args) -> int:
         if attr_mode == "auto":
             attr_mode = resolve_attr_mode(graphs[0])
             cfg["attr_mode"] = attr_mode
-        g0 = graphs[0]
-        dim = {
-            "node_only": 2 * g0.node_dim(),
-            "node_and_edge": 2 * g0.node_dim() + g0.edge_dim(),
-            "raw_edge": g0.edge_dim(),
-        }[attr_mode]
         if cfg["family"]:
             family = parse_family(cfg["family"])
         else:
@@ -173,7 +168,7 @@ def _cmd_prune(args) -> int:
                 family = LshFamily.from_config(
                     LshFamilyConfig(
                         variant=method.replace("-", "_"),
-                        d=dim,
+                        d=edge_attr_dim(graphs[0], attr_mode),
                         k=cfg["k"],
                         m=cfg["m"],
                         l=cfg["l"],
@@ -334,17 +329,7 @@ def _cmd_compare(args) -> int:
     g, gp = before[idx], after[idx]
 
     if cfg["pairs_file"]:
-        pairs = []
-        for lineno, raw in enumerate(
-            Path(cfg["pairs_file"]).read_text(encoding="utf-8").splitlines(), 1
-        ):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            tokens = stripped.split()
-            if len(tokens) != 2:
-                raise ContainerFormatError("pair line must be '<u> <v>'", lineno)
-            pairs.append((int(tokens[0]), int(tokens[1])))
+        pairs = parse_pairs(cfg["pairs_file"])
     else:
         pairs = [(u, v) for u in range(g.num_nodes) for v in range(u + 1, g.num_nodes)]
 

@@ -71,8 +71,12 @@ class _Lines:
         self._pos = pos
         return out
 
-    def first_raw(self) -> str | None:
-        return self._lines[0] if self._lines else None
+    def expect_magic(self, magic: str) -> None:
+        """Consume line 1, which must read ``magic``."""
+        first = self._lines[0].strip() if self._lines else ""
+        if first != magic:
+            raise ContainerFormatError(f"magic mismatch: expected {magic!r}, got {first!r}", 1)
+        self._pos = 1
 
 
 def _want_int(token: str, what: str, line: int) -> int:
@@ -102,14 +106,8 @@ class ParsedContainer:
 
 def parse_container_detailed(path) -> ParsedContainer:
     """Parse a container keeping graph ids and any node-id remappings."""
-    text = Path(path).read_text(encoding="utf-8")
-    first = text.splitlines()[0].strip() if text.splitlines() else ""
-    if first != GRAPH_MAGIC:
-        raise ContainerFormatError(
-            f"magic mismatch: expected {GRAPH_MAGIC!r}, got {first!r}", 1
-        )
-    cursor = _Lines(text)
-    cursor.next()  # consume magic
+    cursor = _Lines(Path(path).read_text(encoding="utf-8"))
+    cursor.expect_magic(GRAPH_MAGIC)
 
     graphs: list[Graph] = []
     graph_ids: list[str] = []
@@ -359,14 +357,8 @@ def write_family(family: LshFamily, path) -> None:
 
 def parse_family(path) -> LshFamily:
     """Load hash-family parameters from a sidecar file."""
-    text = Path(path).read_text(encoding="utf-8")
-    first = text.splitlines()[0].strip() if text.splitlines() else ""
-    if first != FAMILY_MAGIC:
-        raise ContainerFormatError(
-            f"magic mismatch: expected {FAMILY_MAGIC!r}, got {first!r}", 1
-        )
-    cursor = _Lines(text)
-    cursor.next()
+    cursor = _Lines(Path(path).read_text(encoding="utf-8"))
+    cursor.expect_magic(FAMILY_MAGIC)
 
     item = cursor.next()
     if item is None or item[1][0] != "family" or len(item[1]) != 7:
@@ -409,6 +401,19 @@ def parse_family(path) -> LshFamily:
             raise ContainerFormatError(f"expected 'b {i}', got 'b {tokens[1]}'", line)
         offsets[i] = _want_floats(tokens[2:], 1, "offset", line)[0]
     return LshFamily(config=cfg, directions=vectors, offsets=offsets)
+
+
+def parse_pairs(path) -> list[tuple[int, int]]:
+    """Read a node-pair file: one ``<u> <v>`` line per pair; ``#`` lines are comments."""
+    cursor = _Lines(Path(path).read_text(encoding="utf-8"))
+    pairs = []
+    while (item := cursor.next()) is not None:
+        line, tokens = item
+        if len(tokens) != 2:
+            raise ContainerFormatError("pair line must be '<u> <v>'", line)
+        u, v = (_want_int(t, "pair node", line) for t in tokens)
+        pairs.append((u, v))
+    return pairs
 
 
 def parse_config_file(path) -> dict[str, str]:

@@ -158,10 +158,6 @@ def build_adjacency(g: Graph) -> AdjacencyView:
     independent of the edge-list order.
     """
     edges = g.edges
-    if len(edges) and (edges.min() < 0 or edges.max() >= g.num_nodes):
-        bad = edges[edges.max(axis=1) >= g.num_nodes][0]
-        raise GraphStructureError(f"edge ({bad[0]}, {bad[1]}) out of range")
-
     n_edges = len(edges)
     ends = np.concatenate([edges[:, 0], edges[:, 1]])
     nbrs = np.concatenate([edges[:, 1], edges[:, 0]])
@@ -178,16 +174,3 @@ def build_adjacency(g: Graph) -> AdjacencyView:
         neighbors=_freeze(nbrs[order]),
         edge_index=_freeze(eidx[order]),
     )
-
-
-def degree(g: Graph, u: int) -> int:
-    """Number of distinct neighbors of ``u``; self-loops excluded.
-
-    Scans the edge list, so prefer :class:`AdjacencyView` for repeated
-    queries.
-    """
-    if not 0 <= u < g.num_nodes:
-        raise GraphStructureError(f"node {u} out of range for {g.num_nodes} nodes")
-    if len(g.edges) == 0:
-        return 0
-    return int((g.edges == u).sum())

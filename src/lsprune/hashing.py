@@ -40,9 +40,9 @@ DEFAULT_L = 1.0
 class LshFamilyConfig:
     """Parameters of a hash family.
 
-    ``m`` (bucket count, power of two) only applies to ``lsp_t``; ``l`` (bin
-    width) only to ``lsp_p``.  The defaults are declared choices, exposed as
-    CLI flags, not tuned values.
+    ``m`` (bucket count, a power of two up to ``2**63``) only applies to
+    ``lsp_t``; ``l`` (bin width) only to ``lsp_p``.  The defaults are declared
+    choices, exposed as CLI flags, not tuned values.
     """
 
     variant: str
@@ -59,8 +59,8 @@ class LshFamilyConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.m < 2 or self.m & (self.m - 1):
-            raise ValueError(f"m must be a power of two >= 2, got {self.m}")
+        if not 2 <= self.m <= 2**63 or self.m & (self.m - 1):
+            raise ValueError(f"m must be a power of two in [2, 2**63], got {self.m}")
         if not self.l > 0:
             raise ValueError(f"l must be > 0, got {self.l}")
 
@@ -110,19 +110,19 @@ class LshFamily:
             offsets[i] = rng.uniform(0.0, cfg.l)
         return cls(config=cfg, directions=directions, offsets=offsets)
 
-    def bucket(self, i: int, x) -> int:
-        """Bucket of vector ``x`` under function ``i``."""
-        if self.config.variant == LSP_T:
-            return hash_t(self, i, x)
-        return hash_p(self, i, x)
-
     def bucket_rows(self, i: int, rows: np.ndarray) -> np.ndarray:
         """Buckets of a batch of row vectors under function ``i``."""
         rows = _check_rows(rows, self.config.d)
         if self.config.variant == LSP_T:
             return _signature_buckets(rows > self.thresholds[i], self.config.m)
-        proj = rows @ self.directions[i] + self.offsets[i]
-        return np.floor(proj / self.config.l).astype(np.int64)
+        with np.errstate(over="ignore"):  # an overflow to inf fails the range check
+            bins = np.floor((rows @ self.directions[i] + self.offsets[i]) / self.config.l)
+        if not ((bins >= -(2.0**63)) & (bins < 2.0**63)).all():
+            raise ValueError(
+                f"lsp_p projection bucket outside int64 under function {i}; "
+                "attribute values are too large for bin width l"
+            )
+        return bins.astype(np.int64)
 
     def bucket_matrix(self, rows: np.ndarray) -> np.ndarray:
         """``(k, n)`` bucket matrix of ``n`` row vectors under all functions.
@@ -139,7 +139,9 @@ def _check_rows(rows: np.ndarray, d: int) -> np.ndarray:
         raise ValueError(f"expected rows of dimension {d}, got shape {rows.shape}")
     # single-pass screen: any NaN/Inf entry makes the sum non-finite; a
     # non-finite sum of finite entries (overflow) is ruled out exactly
-    if rows.size and not np.isfinite(rows.sum()) and not np.isfinite(rows).all():
+    with np.errstate(over="ignore"):
+        total = rows.sum()
+    if rows.size and not np.isfinite(total) and not np.isfinite(rows).all():
         raise ValueError("attribute vectors contain non-finite entries")
     return rows
 
@@ -153,34 +155,6 @@ def _signature_buckets(bits: np.ndarray, m: int) -> np.ndarray:
         digest = md5(row.tobytes()).digest()
         out[j] = int.from_bytes(digest[:8], "big")
     return (out % m).astype(np.int64)
-
-
-def hash_t(family: LshFamily, i: int, x) -> int:
-    """Binary-signature bucket of ``x`` under function ``i`` (in ``[0, m)``).
-
-    The comparison is strict: entries equal to the threshold contribute 0.
-    """
-    cfg = family.config
-    x = _check_vector(x, cfg.d)
-    bits = x > family.thresholds[i]
-    return int(_signature_buckets(bits[None, :], cfg.m)[0])
-
-
-def hash_p(family: LshFamily, i: int, x) -> int:
-    """Random-projection bucket ``floor((<x, w_i> + b_i) / l)`` (signed)."""
-    cfg = family.config
-    x = _check_vector(x, cfg.d)
-    proj = float(x @ family.directions[i] + family.offsets[i])
-    return int(np.floor(proj / cfg.l))
-
-
-def _check_vector(x, d: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (d,):
-        raise ValueError(f"expected a vector of dimension {d}, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("attribute vector contains non-finite entries")
-    return x
 
 
 def collision_rate(cfg: LshFamilyConfig, pairs, trials: int) -> np.ndarray:

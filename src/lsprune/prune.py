@@ -47,6 +47,8 @@ class RandomPruneConfig:
             raise ValueError(
                 f"keep_probability must be in [0, 1], got {self.keep_probability}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lsprune import (
     Graph,
@@ -13,7 +15,7 @@ from lsprune import (
     variance_scaling_check,
 )
 
-from util import floyd_warshall_khop, random_graph
+from util import floyd_warshall_khop, random_graph, set_jaccard
 
 
 def path_graph(n):
@@ -164,6 +166,32 @@ def test_jaccard_requires_same_node_set():
         jaccard_locality(path_graph(3), path_graph(4), [(0, 1)])
     with pytest.raises(ValueError):
         jaccard_locality(path_graph(3), path_graph(3), [(0, 5)])
+    with pytest.raises(ValueError, match="out of range"):
+        jaccard_locality(path_graph(3), path_graph(3), [(0, 1), (2**70, 0)])
+
+
+@given(st.integers(0, 25), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_jaccard_matches_set_reference(num_nodes, edge_prob, keep_prob, seed):
+    rng = np.random.default_rng(seed)
+    base = random_graph(rng, num_nodes, edge_prob)
+    n = num_nodes + 1  # node num_nodes is always isolated
+    g = Graph(n, base.edges)
+    g_pruned = Graph(n, base.edges[rng.random(base.num_edges) < keep_prob])
+    pairs = [(u, u) for u in range(n)] + rng.integers(0, n, size=(30, 2)).tolist()
+    got = jaccard_locality(g, g_pruned, pairs)
+    want = [[set_jaccard(g, u, v), set_jaccard(g_pruned, u, v)] for u, v in pairs]
+    assert got.tolist() == want
+
+
+def test_jaccard_many_pairs_match_set_reference():
+    # more pairs than one chunk of the vectorised path
+    rng = np.random.default_rng(11)
+    g = random_graph(rng, 90, 0.1)
+    g_pruned = Graph(90, g.edges[rng.random(g.num_edges) < 0.5])
+    pairs = [(u, v) for u in range(90) for v in range(u, 90)]
+    got = jaccard_locality(g, g_pruned, pairs)
+    want = [[set_jaccard(g, u, v), set_jaccard(g_pruned, u, v)] for u, v in pairs]
+    assert got.tolist() == want
 
 
 def test_jaccard_after_twin_consistent_pruning():

@@ -9,6 +9,7 @@ from lsprune import (
     embed_scalar_attrs,
     embedding_table,
 )
+from lsprune.attrs import CONSTRUCTION_MODES, edge_attr_dim
 
 
 def two_node_graph(edge_attr=None):
@@ -165,3 +166,12 @@ def test_edgeless_graph_keeps_row_width():
     g = Graph(3, [], node_attrs=np.zeros((3, 2)))
     table = build_edge_attrs(g, "node_only")
     assert table.rows.shape == (0, 4)
+
+
+@pytest.mark.parametrize("mode", CONSTRUCTION_MODES)
+@pytest.mark.parametrize("num_edges", [0, 3])
+def test_edge_attr_dim_matches_built_rows(mode, num_edges):
+    edges = [(0, 1), (1, 2), (0, 2)][:num_edges]
+    g = Graph(3, edges, node_attrs=np.ones((3, 2)), edge_attrs=np.ones((num_edges, 5)))
+    table = build_edge_attrs(g, mode)
+    assert table.rows.shape == (num_edges, edge_attr_dim(g, mode))

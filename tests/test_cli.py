@@ -277,3 +277,51 @@ def test_prune_emits_idmap_for_remapped_ids(tmp_path, capsys):
     idmap = (tmp_path / "out.lspg.idmap").read_text().splitlines()
     assert idmap[0] == "graph\toriginal_id\tdense_id"
     assert "10\t0" in idmap[1]
+
+
+def test_bucket_count_beyond_2_pow_63_is_usage_error(tmp_path, sample_container, capsys):
+    for m in (2**64, 2**65):
+        code, _, err = run(
+            ["prune", "--input", str(sample_container), "--output", str(tmp_path / "o.lspg"),
+             "--method", "lsp-t", "--m", str(m)],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("usage-error: m must be")
+
+
+def test_projection_overflow_is_data_error(tmp_path, capsys):
+    src = tmp_path / "huge.lspg"
+    src.write_text("lspg 1\nG 0\nN 2 1\nM 1 0\nnode 0 1e25\nnode 1 1e25\nedge 0 1\n")
+    code, _, err = run(
+        ["prune", "--input", str(src), "--output", str(tmp_path / "o.lspg"),
+         "--method", "lsp-p"],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("data-error: graph 0: lsp_p projection bucket outside int64")
+
+
+def test_random_negative_seed_is_usage_error(tmp_path, sample_container, capsys):
+    code, _, err = run(
+        ["prune", "--input", str(sample_container), "--output", str(tmp_path / "o.lspg"),
+         "--method", "random", "--seed", "-1"],
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith("usage-error: seed must be >= 0")
+
+
+def test_compare_bad_pair_line_names_line(tmp_path, capsys):
+    g = random_graph(np.random.default_rng(2), 6, 0.5)
+    a = tmp_path / "a.lspg"
+    write_container([g], a)
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("0 1\n# comment\n2 x\n")
+    code, _, err = run(
+        ["compare", "--input", str(a), "--pruned", str(a),
+         "--output", str(tmp_path / "out.tsv"), "--pairs-file", str(pairs)],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("data-error: line 3: pair node must be an integer")

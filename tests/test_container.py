@@ -191,9 +191,8 @@ def test_family_sidecar_roundtrip(tmp_path, variant):
         assert np.array_equal(loaded.directions, fam.directions)
         assert np.array_equal(loaded.offsets, fam.offsets)
     # loaded parameters hash identically
-    x = np.random.default_rng(1).standard_normal(5)
-    for i in range(3):
-        assert loaded.bucket(i, x) == fam.bucket(i, x)
+    rows = np.random.default_rng(1).standard_normal((4, 5))
+    assert np.array_equal(loaded.bucket_matrix(rows), fam.bucket_matrix(rows))
 
 
 def test_family_magic_mismatch(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lsprune import Graph, GraphStructureError, build_adjacency, degree
+from lsprune import Graph, GraphStructureError, build_adjacency
 
 from util import random_graph
 
@@ -32,23 +32,17 @@ def test_path_satisfies_handshake_identity():
 
 def test_degree_star_center():
     g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert degree(g, 0) == 3
-    assert degree(g, 1) == 1
+    assert build_adjacency(g).degrees.tolist() == [3, 1, 1, 1]
 
 
 def test_degree_isolated_node():
-    assert degree(Graph(2, []), 1) == 0
+    assert build_adjacency(Graph(2, [])).degrees.tolist() == [0, 0]
 
 
 def test_degree_excludes_self_loop():
     # hand count: one real edge, the loop contributes nothing
     g = Graph(2, [(0, 1)], self_loops=frozenset({0}))
-    assert degree(g, 0) == 1
-
-
-def test_degree_out_of_range():
-    with pytest.raises(GraphStructureError):
-        degree(Graph(2, [(0, 1)]), 2)
+    assert build_adjacency(g).degrees.tolist() == [1, 1]
 
 
 def test_edges_canonicalized_at_ingestion():

@@ -1,10 +1,10 @@
 import hashlib
-from dataclasses import replace
+import math
 
 import numpy as np
 import pytest
 
-from lsprune import LshFamily, LshFamilyConfig, collision_rate, hash_p, hash_t
+from lsprune import LshFamily, LshFamilyConfig, collision_rate
 
 # first 8 bytes, big-endian, of MD5 over a single byte; frozen from an
 # independent digest computation
@@ -24,10 +24,15 @@ def p_family(directions, offsets, l=1.0):
     return LshFamily(config=cfg, directions=directions, offsets=np.asarray(offsets, float))
 
 
+def bucket(family, i, x):
+    """Bucket of the single vector ``x`` under function ``i``."""
+    return int(family.bucket_rows(i, np.asarray(x, dtype=np.float64)[None])[0])
+
+
 def test_all_ones_signature_matches_md5_oracle():
     fam = t_family(np.zeros((1, 8)))
-    bucket = hash_t(fam, 0, np.ones(8))  # strictly above every threshold
-    assert bucket == MD5_FF_HEAD % 65536
+    got = bucket(fam, 0, np.ones(8))  # strictly above every threshold
+    assert got == MD5_FF_HEAD % 65536
     # cross-check the frozen constant against hashlib right here
     assert MD5_FF_HEAD == int.from_bytes(hashlib.md5(b"\xff").digest()[:8], "big")
 
@@ -35,8 +40,8 @@ def test_all_ones_signature_matches_md5_oracle():
 def test_input_equal_to_threshold_hashes_as_zero_signature():
     # comparison is strict 'greater than', so ties give bit 0
     fam = t_family(np.full((1, 8), 0.25))
-    bucket = hash_t(fam, 0, np.full(8, 0.25))
-    assert bucket == MD5_00_HEAD % 65536
+    got = bucket(fam, 0, np.full(8, 0.25))
+    assert got == MD5_00_HEAD % 65536
     assert MD5_00_HEAD == int.from_bytes(hashlib.md5(b"\x00").digest()[:8], "big")
 
 
@@ -49,7 +54,7 @@ def test_same_side_of_thresholds_implies_collision():
         for i in range(3):
             w = fam.thresholds[i]
             y = np.where(x > w, x + delta, x - delta)  # stays on the same side
-            assert hash_t(fam, i, x) == hash_t(fam, i, y)
+            assert bucket(fam, i, x) == bucket(fam, i, y)
 
 
 def test_signature_padding_beyond_one_byte():
@@ -57,28 +62,28 @@ def test_signature_padding_beyond_one_byte():
     fam = t_family(np.concatenate([np.zeros(4), np.ones(4) * 10, np.ones(4) * 10])[None, :], m=2**32)
     x = np.concatenate([np.ones(4), np.zeros(8)])
     expected = int.from_bytes(hashlib.md5(b"\xf0\x00").digest()[:8], "big") % 2**32
-    assert hash_t(fam, 0, x) == expected
+    assert bucket(fam, 0, x) == expected
 
 
 def test_projection_zero_vector():
     fam = p_family([[0.3, -0.7]], [0.0], l=1.0)
-    assert hash_p(fam, 0, [0.0, 0.0]) == 0
+    assert bucket(fam, 0, [0.0, 0.0]) == 0
 
 
 def test_projection_hand_computed_bucket():
     fam = p_family([[1.0, 0.0]], [0.5], l=1.0)
-    assert hash_p(fam, 0, [1.2, 7.0]) == 1  # floor(1.2 + 0.5)
+    assert bucket(fam, 0, [1.2, 7.0]) == 1  # floor(1.2 + 0.5)
 
 
 def test_projection_negative_buckets_are_signed():
     fam = p_family([[1.0]], [0.0], l=1.0)
-    assert hash_p(fam, 0, [-2.5]) == -3
+    assert bucket(fam, 0, [-2.5]) == -3
 
 
 def test_projection_within_bin_continuity():
     fam = p_family([[2.0, 0.0]], [0.25], l=1.0)
     x = np.array([0.1, 5.0])  # projection 0.45, bin 0; gap to boundary 0.55
-    assert hash_p(fam, 0, x) == hash_p(fam, 0, x + np.array([0.2, -3.0]))
+    assert bucket(fam, 0, x) == bucket(fam, 0, x + np.array([0.2, -3.0]))
 
 
 def test_projection_shift_structure():
@@ -88,7 +93,7 @@ def test_projection_shift_structure():
     x = np.array([0.25, 3.0])
     step = w[0] / 4.0  # l * w / ||w||^2 with ||w||^2 = 4
     for c in (-3, -1, 1, 2, 7):
-        assert hash_p(fam, 0, x + c * step) == hash_p(fam, 0, x) + c
+        assert bucket(fam, 0, x + c * step) == bucket(fam, 0, x) + c
 
 
 def test_family_regeneration_is_identical():
@@ -108,15 +113,20 @@ def test_function_parameters_depend_only_on_master_seed_and_index():
     assert not np.array_equal(small.directions, other.directions)
 
 
-def test_bucket_matrix_matches_scalar_calls():
-    rng = np.random.default_rng(21)
-    rows = rng.standard_normal((10, 6))
-    for variant in ("lsp_t", "lsp_p"):
-        fam = LshFamily.from_config(LshFamilyConfig(variant, d=6, k=3, master_seed=5))
-        mat = fam.bucket_matrix(rows)
-        for i in range(3):
-            for j in range(10):
-                assert mat[i, j] == fam.bucket(i, rows[j])
+def test_bucket_matrix_matches_spec():
+    # lsp_t: MD5 of the packed signature, first 8 bytes big-endian, mod m;
+    # lsp_p: floor((<x, w> + b) / l), computed here one element at a time
+    rows = np.random.default_rng(21).standard_normal((10, 6))
+    tfam = LshFamily.from_config(LshFamilyConfig("lsp_t", d=6, k=3, m=1024, master_seed=5))
+    pfam = LshFamily.from_config(LshFamilyConfig("lsp_p", d=6, k=3, l=0.5, master_seed=5))
+    tmat = tfam.bucket_matrix(rows)
+    pmat = pfam.bucket_matrix(rows)
+    for i in range(3):
+        for j, x in enumerate(rows):
+            digest = hashlib.md5(np.packbits(x > tfam.thresholds[i]).tobytes()).digest()
+            assert tmat[i, j] == int.from_bytes(digest[:8], "big") % 1024
+            proj = float(x @ pfam.directions[i]) + float(pfam.offsets[i])
+            assert pmat[i, j] == math.floor(proj / 0.5)
 
 
 def test_config_validation():
@@ -132,15 +142,33 @@ def test_config_validation():
         LshFamilyConfig("lsp_p", d=4, l=0.0)
 
 
+def test_bucket_count_bounded_by_2_pow_63():
+    for m in (2**64, 2**65):
+        with pytest.raises(ValueError, match="m must be"):
+            LshFamilyConfig("lsp_t", d=4, m=m)
+    fam = LshFamily.from_config(LshFamilyConfig("lsp_t", d=4, k=2, m=2**63))
+    buckets = fam.bucket_matrix(np.random.default_rng(0).standard_normal((20, 4)))
+    assert buckets.min() >= 0  # every bucket of [0, 2**63) fits int64
+
+
+def test_projection_bucket_outside_int64_rejected():
+    fam = p_family([[1.0, 1.0]], [0.0])
+    top = 2.0**62  # a row of two projects to 2**63, one past the int64 maximum
+    for x in ([1e19, 1e19], [top, top], [-1e19, -1e19], [1e308, 1e308]):  # last: inf
+        with pytest.raises(ValueError, match="outside int64"):
+            bucket(fam, 0, x)
+    assert bucket(fam, 0, [-top, -top]) == -(2**63)  # the int64 minimum still fits
+
+
 def test_dimension_and_finiteness_errors():
     fam = LshFamily.from_config(LshFamilyConfig("lsp_p", d=3, k=1))
     with pytest.raises(ValueError, match="dimension"):
-        hash_p(fam, 0, [1.0, 2.0])
+        bucket(fam, 0, [1.0, 2.0])
     with pytest.raises(ValueError, match="finite"):
-        hash_p(fam, 0, [1.0, np.nan, 2.0])
+        bucket(fam, 0, [1.0, np.nan, 2.0])
     tfam = LshFamily.from_config(LshFamilyConfig("lsp_t", d=3, k=1))
     with pytest.raises(ValueError, match="dimension"):
-        hash_t(tfam, 0, [1.0, 2.0])
+        bucket(tfam, 0, [1.0, 2.0])
 
 
 def test_collision_rate_identical_inputs():

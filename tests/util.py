@@ -48,8 +48,10 @@ def brute_force_minhash(g: Graph, attr_rows: np.ndarray, family) -> tuple[set, d
     """Enumerate every (node, function, neighbor) triple naively.
 
     Returns the kept edge set (canonical pairs) and the per-node selection
-    lists, using scalar hash calls only.  Assumes endpoint-symmetric rows.
+    lists.  Buckets come from one ``bucket_matrix`` call; the argmin is a
+    plain loop.  Assumes endpoint-symmetric rows.
     """
+    buckets = family.bucket_matrix(attr_rows)
     adjacency: dict[int, list[tuple[int, int]]] = {u: [] for u in range(g.num_nodes)}
     for e, (u, v) in enumerate(g.edges.tolist()):
         adjacency[u].append((v, e))
@@ -66,7 +68,7 @@ def brute_force_minhash(g: Graph, attr_rows: np.ndarray, family) -> tuple[set, d
             best_nbr = None
             best_edge = None
             for v, e in sorted(adjacency[u]):
-                bucket = family.bucket(i, attr_rows[e])
+                bucket = buckets[i, e]
                 if best_bucket is None or bucket < best_bucket:
                     best_bucket, best_nbr, best_edge = bucket, v, e
             picks.append((i, best_nbr))
@@ -74,6 +76,17 @@ def brute_force_minhash(g: Graph, attr_rows: np.ndarray, family) -> tuple[set, d
             kept.add((int(a), int(b)))
         selections[u] = picks
     return kept, selections
+
+
+def set_jaccard(g: Graph, u: int, v: int) -> float:
+    """Neighborhood Jaccard of ``u`` and ``v`` from Python sets over the edge list."""
+    nbrs = {x: set() for x in (u, v)}
+    for a, b in g.edges.tolist():
+        for x, y in ((a, b), (b, a)):
+            if x in nbrs:
+                nbrs[x].add(y)
+    union = nbrs[u] | nbrs[v]
+    return len(nbrs[u] & nbrs[v]) / len(union) if union else 1.0
 
 
 def floyd_warshall_khop(g: Graph, k: int) -> np.ndarray:
