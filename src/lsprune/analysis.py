@@ -16,23 +16,26 @@ never conflated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .graph import Graph, build_adjacency
 from .prune import RandomPruneConfig, random_prune
 from .seeding import mix_seed
 
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
+
 # memory cap for the chunked all-pairs distance sweep (floats per chunk)
-_DIST_CHUNK_BUDGET = 20_000_000
+_DIST_CHUNK_BUDGET = 1_000_000
 # node pairs per Jaccard chunk; bounds the adjacency rows sliced at once
 _JACCARD_CHUNK = 2048
 
 
 def _adjacency_matrix(g: Graph) -> csr_matrix:
+    from scipy.sparse import csr_matrix  # scipy loads only for stats/compare
+
     adj = build_adjacency(g)
     ones = np.ones(len(adj.neighbors))
     return csr_matrix((ones, adj.neighbors, adj.indptr), shape=(g.num_nodes, g.num_nodes))
@@ -40,6 +43,8 @@ def _adjacency_matrix(g: Graph) -> csr_matrix:
 
 def _khop_counts(g: Graph, depths: tuple[int, ...]) -> np.ndarray:
     """Counts matrix of shape (len(depths), num_nodes); one BFS sweep total."""
+    from scipy.sparse.csgraph import dijkstra
+
     limit = max(depths)
     n = g.num_nodes
     counts = np.zeros((len(depths), n), dtype=np.int64)
@@ -109,6 +114,8 @@ def bernoulli_edge_pruner(seed: int) -> PruneFn:
     Trial ``t`` at fraction ``f`` uses an independent sub-seed of ``seed``,
     so curves are reproducible yet trials differ.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     def prune(g: Graph, fraction: float, trial: int) -> Graph:
         cfg = RandomPruneConfig(

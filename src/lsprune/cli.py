@@ -280,6 +280,10 @@ def _cmd_stats(args) -> int:
     if cfg["input"] is None or cfg["output"] is None:
         raise UsageError("stats requires --input and --output")
     _echo(_STATS_SCHEMA, cfg)
+    try:
+        pruner = bernoulli_edge_pruner(cfg["seed"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     graphs = parse_container_detailed(cfg["input"]).graphs
     if not 0 <= cfg["graph_index"] < len(graphs):
         raise UsageError(f"graph_index {cfg['graph_index']} outside container of {len(graphs)}")
@@ -292,7 +296,7 @@ def _cmd_stats(args) -> int:
         graphs[cfg["graph_index"]],
         depths,
         fractions,
-        bernoulli_edge_pruner(cfg["seed"]),
+        pruner,
         trials=cfg["trials"],
     )
     table = format_tsv(["kept_fraction", "depth", "variance"], variance_curve_rows(curve))

@@ -376,7 +376,10 @@ def parse_family(path) -> LshFamily:
     except ValueError:
         raise ContainerFormatError("bad bin width", line) from None
     master_seed = _want_int(tokens[6], "master_seed", line)
-    cfg = LshFamilyConfig(variant=variant, d=d, k=k, m=m, l=l, master_seed=master_seed)
+    try:
+        cfg = LshFamilyConfig(variant=variant, d=d, k=k, m=m, l=l, master_seed=master_seed)
+    except ValueError as exc:
+        raise ContainerFormatError(str(exc), line) from None
 
     vectors = np.zeros((k, d))
     for i in range(k):

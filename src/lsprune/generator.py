@@ -72,6 +72,8 @@ class GeneratorConfig:
             s = getattr(self, name)
             if s < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {s}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,8 @@ class LshFamilyConfig:
             raise ValueError(f"m must be a power of two in [2, 2**63], got {self.m}")
         if not self.l > 0:
             raise ValueError(f"l must be > 0, got {self.l}")
+        if self.master_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -147,14 +149,18 @@ def _check_rows(rows: np.ndarray, d: int) -> np.ndarray:
 
 
 def _signature_buckets(bits: np.ndarray, m: int) -> np.ndarray:
-    """MD5-reduce boolean signatures (one per row) to buckets in [0, m)."""
+    """MD5-reduce boolean signatures (one per row) to buckets in [0, m).
+
+    Rows often share a signature, so each distinct packed row is hashed once
+    and its bucket scattered back to every row that carries it.
+    """
     packed = np.packbits(bits, axis=1)  # MSB first, tail zero-padded
-    out = np.empty(len(bits), dtype=np.uint64)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    uniq, inverse = np.unique(keys, return_inverse=True)
     md5 = hashlib.md5
-    for j, row in enumerate(packed):
-        digest = md5(row.tobytes()).digest()
-        out[j] = int.from_bytes(digest[:8], "big")
-    return (out % m).astype(np.int64)
+    digests = b"".join([md5(key).digest()[:8] for key in uniq.tolist()])
+    heads = np.frombuffer(digests, dtype=">u8")  # first 8 digest bytes, big-endian
+    return (heads % m).astype(np.int64)[inverse]
 
 
 def collision_rate(cfg: LshFamilyConfig, pairs, trials: int) -> np.ndarray:

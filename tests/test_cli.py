@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lsprune
 from lsprune import parse_container, write_container
 from lsprune.cli import main
 
@@ -310,6 +316,70 @@ def test_random_negative_seed_is_usage_error(tmp_path, sample_container, capsys)
     )
     assert code == 1
     assert err.startswith("usage-error: seed must be >= 0")
+
+
+@pytest.mark.parametrize("method", ["lsp-t", "lsp-p"])
+def test_lsp_negative_seed_is_usage_error(tmp_path, sample_container, capsys, method):
+    code, _, err = run(
+        ["prune", "--input", str(sample_container), "--output", str(tmp_path / "o.lspg"),
+         "--method", method, "--seed", "-1"],
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith("usage-error: seed must be >= 0")
+    assert not (tmp_path / "o.lspg").exists()
+
+
+def test_family_negative_seed_is_data_error(tmp_path, sample_container, capsys):
+    out = tmp_path / "o.lspg"
+    base = ["prune", "--input", str(sample_container), "--method", "lsp-t"]
+    code, _, _ = run(base + ["--output", str(out)], capsys)
+    assert code == 0
+    family = tmp_path / "o.lspg.family"
+    lines = family.read_text().split("\n")
+    lines[1] = lines[1].rsplit(" ", 1)[0] + " -1"  # the master seed closes line 2
+    family.write_text("\n".join(lines))
+    code, _, err = run(
+        base + ["--output", str(tmp_path / "o2.lspg"), "--family", str(family)], capsys
+    )
+    assert code == 2
+    assert err.startswith("data-error: line 2: seed must be >= 0")
+
+
+def test_generate_negative_seed_is_usage_error(tmp_path, capsys):
+    code, _, err = run(
+        ["generate", "--output", str(tmp_path / "d.lspg"), "--num-samples", "2",
+         "--seed", "-1"],
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith("usage-error: seed must be >= 0")
+    assert not (tmp_path / "d.lspg").exists()
+
+
+def test_stats_negative_seed_is_usage_error(tmp_path, sample_container, capsys):
+    code, _, err = run(
+        ["stats", "--input", str(sample_container), "--output", str(tmp_path / "c.tsv"),
+         "--depths", "1", "--fractions", "0.5", "--seed", "-1"],
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith("usage-error: seed must be >= 0")
+
+
+def test_import_loads_no_scipy():
+    # prune and generate must not pay for scipy; stats/compare import it lazily
+    src = str(Path(lsprune.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    code = (
+        "import sys, lsprune, lsprune.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_compare_bad_pair_line_names_line(tmp_path, capsys):

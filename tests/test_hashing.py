@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lsprune import LshFamily, LshFamilyConfig, collision_rate
 
@@ -129,6 +131,29 @@ def test_bucket_matrix_matches_spec():
             assert pmat[i, j] == math.floor(proj / 0.5)
 
 
+@given(
+    d=st.sampled_from([1, 7, 8, 16, 60, 65, 440, 600]),  # keys of 1..75 bytes
+    n=st.one_of(st.just(0), st.just(1), st.integers(2, 80)),
+    pool=st.integers(1, 5),
+    m=st.sampled_from([2, 1024, 2**63]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_repeated_signatures_match_hashlib(d, n, pool, m, seed):
+    # rows repeat a small pool, so most signatures are shared; every row must
+    # still get the bucket of its own MD5, first 8 bytes big-endian, mod m
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((pool, d))
+    base[0] = -1.0  # the all-zero signature: a key of NUL bytes only
+    rows = base[rng.integers(0, pool, n)]
+    got = t_family(np.zeros((1, d)), m=m).bucket_rows(0, rows)
+    expected = [
+        int.from_bytes(hashlib.md5(np.packbits(x > 0).tobytes()).digest()[:8], "big") % m
+        for x in rows
+    ]
+    assert got.dtype == np.int64
+    assert got.tolist() == expected
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         LshFamilyConfig("nope", d=4)
@@ -140,6 +165,8 @@ def test_config_validation():
         LshFamilyConfig("lsp_t", d=4, m=100)  # not a power of two
     with pytest.raises(ValueError):
         LshFamilyConfig("lsp_p", d=4, l=0.0)
+    with pytest.raises(ValueError, match="seed must be"):
+        LshFamilyConfig("lsp_t", d=4, master_seed=-1)
 
 
 def test_bucket_count_bounded_by_2_pow_63():
