@@ -16,7 +16,7 @@ never conflated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -24,39 +24,57 @@ from .graph import Graph, build_adjacency
 from .prune import RandomPruneConfig, random_prune
 from .seeding import mix_seed
 
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
-
-# memory cap for the chunked all-pairs distance sweep (floats per chunk)
-_DIST_CHUNK_BUDGET = 1_000_000
-# node pairs per Jaccard chunk; bounds the adjacency rows sliced at once
+# bytes of the reach[neighbors] gather per k-hop block of sources
+_KHOP_BLOCK_BYTES = 8_000_000
+# node pairs per Jaccard chunk; bounds the neighbor lists gathered at once
 _JACCARD_CHUNK = 2048
+# set bits per byte value (np.bitwise_count needs numpy >= 2.0)
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
-def _adjacency_matrix(g: Graph) -> csr_matrix:
-    from scipy.sparse import csr_matrix  # scipy loads only for stats/compare
-
-    adj = build_adjacency(g)
-    ones = np.ones(len(adj.neighbors))
-    return csr_matrix((ones, adj.neighbors, adj.indptr), shape=(g.num_nodes, g.num_nodes))
+def _row_popcount(words: np.ndarray) -> np.ndarray:
+    return _POPCOUNT[words.view(np.uint8)].sum(axis=1, dtype=np.int64)
 
 
 def _khop_counts(g: Graph, depths: tuple[int, ...]) -> np.ndarray:
-    """Counts matrix of shape (len(depths), num_nodes); one BFS sweep total."""
-    from scipy.sparse.csgraph import dijkstra
+    """Counts matrix of shape (len(depths), num_nodes) by bitset level expansion.
 
+    ``reach[v]`` holds one bit per source of the current block of 64-bit
+    words: the sources that reach ``v`` within the current level.  Each level
+    ORs every node's neighbor rows into its own; a block stops expanding once
+    a level adds no bit, since every deeper level is then the same.
+    """
     limit = max(depths)
-    n = g.num_nodes
-    counts = np.zeros((len(depths), n), dtype=np.int64)
-    if n == 0 or g.num_edges == 0:
+    counts = np.zeros((len(depths), g.num_nodes), dtype=np.int64)
+    if g.num_edges == 0:
         return counts
-    adj = _adjacency_matrix(g)
-    chunk = max(1, _DIST_CHUNK_BUDGET // n)
-    for start in range(0, n, chunk):
-        idx = np.arange(start, min(start + chunk, n))
-        dist = dijkstra(adj, unweighted=True, limit=limit, indices=idx)
+    adj = build_adjacency(g)
+    # isolated nodes reach no one and no one reaches them: expand over the
+    # others only, which also keeps every reduceat segment non-empty
+    # (reduceat yields the segment's first row, not the identity, on empty ones)
+    has = adj.degrees > 0
+    live = int(has.sum())
+    nbrs = (np.cumsum(has) - 1)[adj.neighbors]
+    starts = adj.indptr[:-1][has]
+    words = -(-live // 64)
+    # words of sources per block; reach itself (live rows) is no larger than the gather
+    block = max(1, _KHOP_BLOCK_BYTES // (8 * len(nbrs)))
+    sizes_at = np.zeros((len(depths), live), dtype=np.int64)
+    for w0 in range(0, words, block):
+        width = min(block, words - w0)
+        src = np.arange(64 * w0, min(live, 64 * (w0 + width)))
+        reach = np.zeros((live, width), dtype=np.uint64)
+        reach[src, src // 64 - w0] = np.uint64(1) << (src % 64).astype(np.uint64)
+        sizes = [_row_popcount(reach)]  # sizes[level]; level 0 is the source itself
+        while len(sizes) <= limit:
+            grown = reach | np.bitwise_or.reduceat(reach[nbrs], starts, axis=0)
+            if np.array_equal(grown, reach):
+                break
+            reach = grown
+            sizes.append(_row_popcount(reach))
         for row, k in enumerate(depths):
-            counts[row, idx] = (dist <= k).sum(axis=1) - 1  # drop the node itself
+            sizes_at[row] += sizes[min(k, len(sizes) - 1)]
+    counts[:, has] = sizes_at - 1  # each node's own bit
     return counts
 
 
@@ -202,13 +220,23 @@ def jaccard_locality(g: Graph, g_pruned: Graph, pairs) -> np.ndarray:
         raise ValueError(f"pair ({u}, {v}) out of range")
     pairs = pairs.astype(np.int64)
 
+    n = g.num_nodes
     out = np.empty((len(pairs), 2))
     for col, graph in enumerate((g, g_pruned)):
-        adj = _adjacency_matrix(graph)
-        deg = np.diff(adj.indptr)
+        adj = build_adjacency(graph)
+        deg = adj.degrees
+        # row * n + neighbor is ascending along the CSR, so lookups can bisect it
+        keys = np.repeat(np.arange(n, dtype=np.int64), deg) * n + adj.neighbors
         for start in range(0, len(pairs), _JACCARD_CHUNK):
             u, v = pairs[start : start + _JACCARD_CHUNK].T
-            inter = np.asarray(adj[u].multiply(adj[v]).sum(axis=1)).ravel()
+            swap = deg[u] > deg[v]  # walk the shorter list, look each entry up in the other
+            u, v = np.where(swap, v, u), np.where(swap, u, v)
+            lens = deg[u]
+            owner = np.repeat(np.arange(len(u)), lens)
+            first = np.repeat(adj.indptr[u] - (np.cumsum(lens) - lens), lens)
+            query = v[owner] * n + adj.neighbors[first + np.arange(len(owner))]
+            pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+            inter = np.bincount(owner[keys[pos] == query], minlength=len(u))
             union = deg[u] + deg[v] - inter  # |N_u | N_v| = d_u + d_v - |N_u & N_v|
             out[start : start + len(u), col] = np.divide(
                 inter, union, out=np.ones(len(u)), where=union > 0

@@ -144,6 +144,10 @@ def _cmd_prune(args) -> int:
             raise UsageError("--m only applies to lsp-t")
         if method == "lsp-t" and "l" in explicit:
             raise UsageError("--l only applies to lsp-p")
+        if cfg["family"]:
+            for key in ("k", "m", "l", "seed"):
+                if key in explicit:
+                    raise UsageError(f"--{key} cannot be combined with --family, which fixes it")
 
     parsed = parse_container_detailed(cfg["input"])
     graphs = parsed.graphs
@@ -163,6 +167,9 @@ def _cmd_prune(args) -> int:
             cfg["attr_mode"] = attr_mode
         if cfg["family"]:
             family = parse_family(cfg["family"])
+            variant = family.config.variant.replace("_", "-")
+            if variant != method:
+                raise UsageError(f"--family holds an {variant} family but method is {method}")
         else:
             try:
                 family = LshFamily.from_config(
@@ -177,9 +184,10 @@ def _cmd_prune(args) -> int:
                 )
             except ValueError as exc:
                 raise UsageError(str(exc)) from None
-        echo_keys = ("input", "output", "method", "k", "seed", "attr_mode",
-                     "endpoint_order", "zscore", "family")
-        echo_keys += ("m",) if method == "lsp-t" else ("l",)
+        echo_keys = ("input", "output", "method", "attr_mode", "endpoint_order", "zscore",
+                     "family")
+        if not cfg["family"]:  # a loaded family fixes k, m/l and the seed
+            echo_keys += ("k", "seed", "m" if method == "lsp-t" else "l")
         _echo([s for s in _PRUNE_SCHEMA if s[0] in echo_keys], cfg)
         results = prune_dataset(
             graphs,

@@ -48,6 +48,15 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+_ROW_CHUNK = 1024  # rows turned into Python objects at once; bounds the writer's extra memory
+
+
+def _rows(arr: np.ndarray):
+    """Rows of ``arr`` as Python lists (or scalars), converted a chunk at a time."""
+    for start in range(0, len(arr), _ROW_CHUNK):
+        yield from arr[start : start + _ROW_CHUNK].tolist()
+
+
 class _Lines:
     """Line cursor that skips comments and blanks and tracks line numbers."""
 
@@ -179,6 +188,8 @@ def _parse_block(cursor: _Lines, header: list[str], header_line: int):
                 item[0] if item else line,
             )
         line, tokens = item
+        if len(tokens) < 2:
+            raise ContainerFormatError("node line needs an id", line)
         nid = _want_int(tokens[1], "node id", line)
         if nid < 0:
             raise ContainerFormatError(f"node id {nid} is negative", line)
@@ -308,21 +319,19 @@ def format_container(graphs, graph_ids=None) -> str:
         out.append(header)
         out.append(f"N {g.num_nodes} {g.node_dim()}")
         out.append(f"M {g.num_edges} {g.edge_dim()}")
-        for nid in range(g.num_nodes):
-            if g.node_attrs is None:
-                out.append(f"node {nid}")
-            else:
-                vals = " ".join(_fmt(x) for x in g.node_attrs[nid])
-                out.append(f"node {nid} {vals}")
-        for row, (u, v) in enumerate(g.edges):
-            if g.edge_attrs is None:
-                out.append(f"edge {u} {v}")
-            else:
-                vals = " ".join(_fmt(x) for x in g.edge_attrs[row])
-                out.append(f"edge {u} {v} {vals}")
+        # Python floats and ints, not numpy scalars; repr of a float round-trips it
+        if g.node_attrs is None:
+            out.extend(f"node {nid}" for nid in range(g.num_nodes))
+        else:
+            for nid, row in enumerate(_rows(g.node_attrs)):
+                out.append(f"node {nid} {' '.join(map(repr, row))}")
+        if g.edge_attrs is None:
+            out.extend(f"edge {u} {v}" for u, v in _rows(g.edges))
+        else:
+            for (u, v), row in zip(_rows(g.edges), _rows(g.edge_attrs)):
+                out.append(f"edge {u} {v} {' '.join(map(repr, row))}")
         if g.node_labels is not None:
-            for nid in range(g.num_nodes):
-                out.append(f"nodelabel {nid} {int(g.node_labels[nid])}")
+            out.extend(f"nodelabel {nid} {y}" for nid, y in enumerate(_rows(g.node_labels)))
         for nid in sorted(g.self_loops):
             out.append(f"loop {nid}")
     out.append("")
@@ -355,6 +364,19 @@ def write_family(family: LshFamily, path) -> None:
     Path(path).write_text(format_family(family), encoding="utf-8")
 
 
+def _function_line(cursor: _Lines, tag: str, i: int, k: int, line: int):
+    """The next family line, which must read ``<tag> <i> ...``."""
+    item = cursor.next()
+    if item is None or item[1][0] != tag:
+        raise ContainerFormatError(f"count mismatch: expected {k} '{tag}' lines", line)
+    line, tokens = item
+    if len(tokens) < 2:
+        raise ContainerFormatError(f"{tag} line needs a function index", line)
+    if _want_int(tokens[1], "function index", line) != i:
+        raise ContainerFormatError(f"expected '{tag} {i}', got '{tag} {tokens[1]}'", line)
+    return line, tokens
+
+
 def parse_family(path) -> LshFamily:
     """Load hash-family parameters from a sidecar file."""
     cursor = _Lines(Path(path).read_text(encoding="utf-8"))
@@ -383,12 +405,7 @@ def parse_family(path) -> LshFamily:
 
     vectors = np.zeros((k, d))
     for i in range(k):
-        item = cursor.next()
-        if item is None or item[1][0] != "w":
-            raise ContainerFormatError(f"count mismatch: expected {k} 'w' lines", line)
-        line, tokens = item
-        if _want_int(tokens[1], "function index", line) != i:
-            raise ContainerFormatError(f"expected 'w {i}', got 'w {tokens[1]}'", line)
+        line, tokens = _function_line(cursor, "w", i, k, line)
         vectors[i] = _want_floats(tokens[2:], d, "parameter", line)
 
     if variant == LSP_T:
@@ -396,12 +413,7 @@ def parse_family(path) -> LshFamily:
 
     offsets = np.zeros(k)
     for i in range(k):
-        item = cursor.next()
-        if item is None or item[1][0] != "b":
-            raise ContainerFormatError(f"count mismatch: expected {k} 'b' lines", line)
-        line, tokens = item
-        if _want_int(tokens[1], "function index", line) != i:
-            raise ContainerFormatError(f"expected 'b {i}', got 'b {tokens[1]}'", line)
+        line, tokens = _function_line(cursor, "b", i, k, line)
         offsets[i] = _want_floats(tokens[2:], 1, "offset", line)[0]
     return LshFamily(config=cfg, directions=vectors, offsets=offsets)
 

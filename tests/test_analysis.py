@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lsprune.analysis as analysis
 from lsprune import (
     Graph,
     bernoulli_edge_pruner,
@@ -15,7 +18,7 @@ from lsprune import (
     variance_scaling_check,
 )
 
-from util import floyd_warshall_khop, random_graph, set_jaccard
+from util import floyd_warshall_distances, floyd_warshall_khop, random_graph, set_jaccard
 
 
 def path_graph(n):
@@ -58,6 +61,39 @@ def test_khop_matches_floyd_warshall_oracle():
         g = random_graph(rng, n, float(rng.uniform(0.05, 0.5)))
         for k in (1, 2, 4):
             assert np.array_equal(khop_sizes(g, k), floyd_warshall_khop(g, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 80),
+    components=st.integers(1, 3),
+    edge_prob=st.floats(0.0, 0.3),
+    depths=st.lists(st.one_of(st.integers(1, 4), st.integers(5, 90)), min_size=1, max_size=5),
+    one_word_blocks=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=64, components=1, edge_prob=0.05, depths=[3, 1, 3], one_word_blocks=True, seed=0)
+@example(n=65, components=2, edge_prob=0.1, depths=[90, 2], one_word_blocks=True, seed=1)
+@example(n=65, components=1, edge_prob=0.03, depths=[1, 2, 4], one_word_blocks=False, seed=2)
+def test_khop_kernel_matches_floyd_warshall(n, components, edge_prob, depths,
+                                            one_word_blocks, seed):
+    # nodes of component -1 stay isolated; no edge joins two components
+    rng = np.random.default_rng(seed)
+    comp = rng.integers(-1, components, size=n)
+    base = random_graph(rng, n, edge_prob)
+    u, v = base.edges.T
+    g = Graph(n, base.edges[(comp[u] == comp[v]) & (comp[u] >= 0)])
+    dist = floyd_warshall_distances(g)
+    want = np.array([floyd_warshall_khop(g, k, dist) for k in depths])
+    # a one-byte budget puts every 64-node word of sources in a block of its own
+    budget = 1 if one_word_blocks else analysis._KHOP_BLOCK_BYTES
+    with mock.patch.object(analysis, "_KHOP_BLOCK_BYTES", budget):
+        stats = neighborhood_stats(g, depths)
+        sizes = [khop_sizes(g, k) for k in depths]
+    assert stats.depths == tuple(depths)
+    assert np.array_equal(stats.counts, want)
+    assert np.array_equal(np.array(sizes), want)
+    assert np.array_equal(stats.variances, want.var(axis=1))
 
 
 def test_two_block_graph_against_oracle():

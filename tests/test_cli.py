@@ -103,12 +103,49 @@ def test_family_sidecar_reload_reproduces_run(tmp_path, sample_container, capsys
     out2 = tmp_path / "o2.lspg"
     code, _, _ = run(
         ["prune", "--input", str(sample_container), "--output", str(out2),
-         "--method", "lsp-p", "--family", str(tmp_path / "o1.lspg.family"),
-         "--seed", "11"],
+         "--method", "lsp-p", "--family", str(tmp_path / "o1.lspg.family")],
         capsys,
     )
     assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_family_run_rejects_overrides_and_echoes_a_replayable_config(
+    tmp_path, sample_container, capsys
+):
+    base = ["prune", "--input", str(sample_container)]
+    out1 = tmp_path / "o1.lspg"
+    code, _, _ = run(base + ["--output", str(out1), "--method", "lsp-t", "--k", "3"], capsys)
+    assert code == 0
+    family = str(tmp_path / "o1.lspg.family")
+    out2 = str(tmp_path / "o2.lspg")
+    for flag, value in (("--k", "2"), ("--m", "16"), ("--seed", "0"), ("--seed", "-1")):
+        code, _, err = run(base + ["--output", out2, "--method", "lsp-t", "--family", family,
+                                   flag, value], capsys)
+        assert code == 1
+        assert err.startswith(f"usage-error: {flag} cannot be combined with --family")
+    code, _, err = run(base + ["--output", out2, "--method", "lsp-p", "--family", family,
+                               "--l", "2.0"], capsys)
+    assert code == 1 and "--l cannot be combined with --family" in err
+    # a family of the other variant is a usage error, not a silent lsp-t run
+    code, _, err = run(base + ["--output", out2, "--method", "lsp-p", "--family", family],
+                       capsys)
+    assert code == 1
+    assert err.startswith("usage-error: --family holds an lsp-t family but method is lsp-p")
+    assert not Path(out2).exists()
+
+    code, stdout, _ = run(base + ["--output", out2, "--method", "lsp-t", "--family", family],
+                          capsys)
+    assert code == 0
+    keys = [line.split(" = ")[0] for line in stdout.splitlines()]
+    assert "family" in keys and not {"k", "m", "l", "seed"} & set(keys)
+    assert Path(out2).read_bytes() == out1.read_bytes()
+    cfg_path = tmp_path / "echo.cfg"
+    out3 = tmp_path / "o3.lspg"
+    cfg_path.write_text(stdout.replace(out2, str(out3)))
+    code, _, _ = run(["prune", "--config", str(cfg_path)], capsys)
+    assert code == 0
+    assert out3.read_bytes() == out1.read_bytes()
 
 
 def test_method_specific_flag_validation(tmp_path, sample_container, capsys):
@@ -367,19 +404,65 @@ def test_stats_negative_seed_is_usage_error(tmp_path, sample_container, capsys):
     assert err.startswith("usage-error: seed must be >= 0")
 
 
-def test_import_loads_no_scipy():
-    # prune and generate must not pay for scipy; stats/compare import it lazily
+def test_import_loads_no_scipy(tmp_path, sample_container):
+    # numpy is the only runtime dependency: no import and no subcommand loads scipy
     src = str(Path(lsprune.__file__).resolve().parents[1])
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    code = (
-        "import sys, lsprune, lsprune.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert proc.stdout.strip() == "[]"
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("0 1\n2 5\n")
+    commands = [
+        [],
+        ["stats", "--input", str(sample_container), "--output", str(tmp_path / "c.tsv"),
+         "--depths", "1,3", "--fractions", "0.5,1.0"],
+        ["compare", "--input", str(sample_container), "--pruned", str(sample_container),
+         "--output", str(tmp_path / "j.tsv"), "--pairs-file", str(pairs)],
+    ]
+    for argv in commands:
+        code = (
+            "import sys, lsprune, lsprune.cli; "
+            f"rc = lsprune.cli.main({argv!r}) if {argv!r} else 0; "
+            "print(rc, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.splitlines()[-1] == "0 []", argv
+    assert (tmp_path / "c.tsv").exists() and (tmp_path / "j.tsv").exists()
+
+
+@pytest.mark.parametrize("kind", ["lspg", "G", "N", "M", "node", "edge", "nodelabel", "loop"])
+def test_container_line_cut_to_its_tag_is_data_error(tmp_path, capsys, kind):
+    g = random_graph(np.random.default_rng(4), 5, 0.6, node_dim=2, edge_dim=1,
+                     with_loops=True, with_labels=True)
+    path = tmp_path / "in.lspg"
+    write_container([g], path)
+    lines = path.read_text().split("\n")
+    lineno = next(i for i, text in enumerate(lines, 1) if text.split()[0] == kind)
+    lines[lineno - 1] = kind
+    path.write_text("\n".join(lines))
+    code, _, err = run(["prune", "--input", str(path), "--output", str(tmp_path / "o.lspg"),
+                        "--method", "random"], capsys)
+    assert code == 2
+    assert err.startswith(f"data-error: line {lineno}:")
+
+
+@pytest.mark.parametrize("method,kind", [("lsp-p", "lsph"), ("lsp-p", "family"),
+                                         ("lsp-t", "w"), ("lsp-p", "w"), ("lsp-p", "b")])
+def test_family_line_cut_to_its_tag_is_data_error(tmp_path, sample_container, capsys,
+                                                  method, kind):
+    base = ["prune", "--input", str(sample_container), "--method", method]
+    code, _, _ = run(base + ["--output", str(tmp_path / "o.lspg")], capsys)
+    assert code == 0
+    family = tmp_path / "o.lspg.family"
+    lines = family.read_text().split("\n")
+    lineno = next(i for i, text in enumerate(lines, 1) if text.split()[0] == kind)
+    lines[lineno - 1] = kind
+    family.write_text("\n".join(lines))
+    code, _, err = run(base + ["--output", str(tmp_path / "o2.lspg"), "--family", str(family)],
+                       capsys)
+    assert code == 2
+    assert err.startswith(f"data-error: line {lineno}:")
 
 
 def test_compare_bad_pair_line_names_line(tmp_path, capsys):

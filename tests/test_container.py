@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import lsprune.container as container
 from lsprune import (
     ContainerFormatError,
     GeneratorConfig,
@@ -124,6 +127,27 @@ def test_roundtrip_on_generated_corpus(tmp_path):
             assert np.array_equal(g.edge_attrs, p.edge_attrs)
         assert g.self_loops == p.self_loops
         assert g.graph_label == p.graph_label
+
+
+def test_writer_rows_match_per_value_repr_across_chunks():
+    rng = np.random.default_rng(3)
+    g = random_graph(rng, 10, 0.5, node_dim=2, edge_dim=3, with_loops=True, with_labels=True)
+    plain = random_graph(rng, 8, 0.5)
+    want = ["lspg 1"]
+    for gid, h in enumerate((g, plain)):
+        want += [f"G {gid}" + ("" if h.graph_label is None else f" label={h.graph_label}"),
+                 f"N {h.num_nodes} {h.node_dim()}", f"M {h.num_edges} {h.edge_dim()}"]
+        for nid in range(h.num_nodes):
+            vals = [] if h.node_attrs is None else [repr(float(x)) for x in h.node_attrs[nid]]
+            want.append(" ".join(["node", str(nid)] + vals))
+        for row in range(h.num_edges):
+            vals = [] if h.edge_attrs is None else [repr(float(x)) for x in h.edge_attrs[row]]
+            want.append(" ".join(["edge", str(h.edges[row, 0]), str(h.edges[row, 1])] + vals))
+        if h.node_labels is not None:
+            want += [f"nodelabel {nid} {int(y)}" for nid, y in enumerate(h.node_labels)]
+        want += [f"loop {nid}" for nid in sorted(h.self_loops)]
+    with mock.patch.object(container, "_ROW_CHUNK", 3):  # several chunks per block
+        assert format_container([g, plain]) == "\n".join(want + [""])
 
 
 def test_floats_roundtrip_exactly(tmp_path):

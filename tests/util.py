@@ -89,17 +89,25 @@ def set_jaccard(g: Graph, u: int, v: int) -> float:
     return len(nbrs[u] & nbrs[v]) / len(union) if union else 1.0
 
 
-def floyd_warshall_khop(g: Graph, k: int) -> np.ndarray:
-    """All-pairs shortest-path oracle for k-hop neighborhood sizes."""
+def floyd_warshall_distances(g: Graph) -> list[list[int]]:
+    """All-pairs hop distances by Floyd-Warshall; unreachable pairs get 1 << 30."""
     n = g.num_nodes
     inf = 1 << 30  # larger than any distance and any queried depth
-    dist = np.full((n, n), inf, dtype=np.int64)
-    np.fill_diagonal(dist, 0)
+    dist = [[0 if a == b else inf for b in range(n)] for a in range(n)]
     for u, v in g.edges.tolist():
-        dist[u, v] = dist[v, u] = 1
+        dist[u][v] = dist[v][u] = 1
     for mid in range(n):
+        via = dist[mid]
         for a in range(n):
+            row, head = dist[a], dist[a][mid]
             for b in range(n):
-                if dist[a, mid] + dist[mid, b] < dist[a, b]:
-                    dist[a, b] = dist[a, mid] + dist[mid, b]
-    return ((dist <= k).sum(axis=1) - 1).astype(np.int64)
+                if head + via[b] < row[b]:
+                    row[b] = head + via[b]
+    return dist
+
+
+def floyd_warshall_khop(g: Graph, k: int, dist: list[list[int]] | None = None) -> np.ndarray:
+    """All-pairs shortest-path oracle for k-hop neighborhood sizes."""
+    if dist is None:
+        dist = floyd_warshall_distances(g)
+    return np.array([sum(d <= k for d in row) - 1 for row in dist], dtype=np.int64)
