@@ -99,11 +99,16 @@ class NeighborhoodStats:
     kept_fraction: float
 
 
-def neighborhood_stats(g: Graph, depths, kept_fraction: float = 1.0) -> NeighborhoodStats:
-    """Compute k-hop sizes and variances for several depths in one sweep."""
+def _check_depths(depths) -> tuple[int, ...]:
     depths = tuple(int(k) for k in depths)
     if not depths or min(depths) < 1:
         raise ValueError(f"depths must be >= 1, got {depths}")
+    return depths
+
+
+def neighborhood_stats(g: Graph, depths, kept_fraction: float = 1.0) -> NeighborhoodStats:
+    """Compute k-hop sizes and variances for several depths in one sweep."""
+    depths = _check_depths(depths)
     counts = _khop_counts(g, depths)
     return NeighborhoodStats(
         depths=depths,
@@ -145,6 +150,16 @@ def bernoulli_edge_pruner(seed: int) -> PruneFn:
     return prune
 
 
+def check_curve_args(depths, keep_fractions, trials: int):
+    """Validated ``(depths, fractions)`` tuples of a variance curve run ``trials`` times."""
+    fractions = tuple(float(f) for f in keep_fractions)
+    if not all(0.0 < f <= 1.0 for f in fractions):
+        raise ValueError(f"fractions must lie in (0, 1], got {fractions}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    return _check_depths(depths), fractions
+
+
 def neighborhood_variance_curve(
     g: Graph,
     depths,
@@ -158,13 +173,7 @@ def neighborhood_variance_curve(
     the per-depth population variances are averaged.  Fraction 1.0 is the
     unpruned graph, evaluated once.
     """
-    depths = tuple(int(k) for k in depths)
-    fractions = tuple(float(f) for f in keep_fractions)
-    if not all(0.0 < f <= 1.0 for f in fractions):
-        raise ValueError(f"fractions must lie in (0, 1], got {fractions}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-
+    depths, fractions = check_curve_args(depths, keep_fractions, trials)
     table = np.zeros((len(fractions), len(depths)))
     for fi, fraction in enumerate(fractions):
         if fraction >= 1.0:

@@ -120,12 +120,9 @@ def build_edge_attrs(
     if mode not in CONSTRUCTION_MODES:
         raise ValueError(f"unknown construction mode {mode!r}")
 
+    edge_attr_dim(g, mode)  # rejects a mode whose attributes the graph lacks
     needs_nodes = mode in (NODE_ONLY, NODE_AND_EDGE)
     needs_edges = mode in (NODE_AND_EDGE, RAW_EDGE)
-    if needs_nodes and g.node_attrs is None:
-        raise ValueError(f"mode {mode!r} requires node attributes")
-    if needs_edges and g.edge_attrs is None:
-        raise ValueError(f"mode {mode!r} requires edge attributes")
 
     node_attrs = g.node_attrs
     edge_attrs = g.edge_attrs
@@ -157,7 +154,14 @@ def build_edge_attrs(
 
 
 def edge_attr_dim(g: Graph, mode: str) -> int:
-    """Width of the rows :func:`build_edge_attrs` assembles for ``g`` under ``mode``."""
+    """Width of the rows :func:`build_edge_attrs` assembles for ``g`` under ``mode``.
+
+    Raises ValueError when ``g`` lacks an attribute that ``mode`` needs.
+    """
+    if mode != RAW_EDGE and g.node_attrs is None:
+        raise ValueError(f"mode {mode!r} requires node attributes")
+    if mode != NODE_ONLY and g.edge_attrs is None:
+        raise ValueError(f"mode {mode!r} requires edge attributes")
     q, d_e = g.node_dim(), g.edge_dim()
     return {NODE_ONLY: 2 * q, NODE_AND_EDGE: 2 * q + d_e, RAW_EDGE: d_e}[mode]
 

@@ -16,7 +16,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import bernoulli_edge_pruner, jaccard_locality, neighborhood_variance_curve
+import numpy as np
+
+from .analysis import (
+    bernoulli_edge_pruner,
+    check_curve_args,
+    jaccard_locality,
+    neighborhood_variance_curve,
+)
 from .attrs import CANONICAL, CONSTRUCTION_MODES, ENDPOINT_ORDERS, edge_attr_dim
 from .container import (
     ContainerFormatError,
@@ -103,6 +110,11 @@ def _echo(schema, resolved) -> None:
 
 # ---------------------------------------------------------------- prune
 
+def _graph_error(parsed, idx: int, detail) -> ValueError:
+    """A data error about graph ``idx`` of a parsed container, naming it by id and index."""
+    return ValueError(f"graph {parsed.graph_ids[idx]!r} (index {idx}): {detail}")
+
+
 _PRUNE_SCHEMA = [
     ("input", str, None),
     ("output", str, None),
@@ -163,8 +175,17 @@ def _cmd_prune(args) -> int:
     else:
         attr_mode = cfg["attr_mode"]
         if attr_mode == "auto":
-            attr_mode = resolve_attr_mode(graphs[0])
+            try:
+                attr_mode = resolve_attr_mode(graphs[0])
+            except ValueError as exc:
+                raise _graph_error(parsed, 0, exc) from None
             cfg["attr_mode"] = attr_mode
+        dims = []
+        for idx, g in enumerate(graphs):
+            try:
+                dims.append(edge_attr_dim(g, attr_mode))
+            except ValueError as exc:
+                raise _graph_error(parsed, idx, exc) from None
         if cfg["family"]:
             family = parse_family(cfg["family"])
             variant = family.config.variant.replace("_", "-")
@@ -175,7 +196,7 @@ def _cmd_prune(args) -> int:
                 family = LshFamily.from_config(
                     LshFamilyConfig(
                         variant=method.replace("-", "_"),
-                        d=edge_attr_dim(graphs[0], attr_mode),
+                        d=dims[0],
                         k=cfg["k"],
                         m=cfg["m"],
                         l=cfg["l"],
@@ -184,6 +205,11 @@ def _cmd_prune(args) -> int:
                 )
             except ValueError as exc:
                 raise UsageError(str(exc)) from None
+        d = family.config.d
+        for idx, dim in enumerate(dims):  # every graph, before any is hashed
+            if dim != d:
+                detail = f"family dimension {d} does not match attributes of dimension {dim}"
+                raise _graph_error(parsed, idx, detail)
         echo_keys = ("input", "output", "method", "attr_mode", "endpoint_order", "zscore",
                      "family")
         if not cfg["family"]:  # a loaded family fixes k, m/l and the seed
@@ -289,17 +315,18 @@ def _cmd_stats(args) -> int:
         raise UsageError("stats requires --input and --output")
     _echo(_STATS_SCHEMA, cfg)
     try:
+        depths = _parse_int_list(cfg["depths"])
+        fractions = _parse_float_list(cfg["fractions"])
+    except ValueError as exc:
+        raise UsageError(f"bad depths/fractions list: {exc}") from None
+    try:
         pruner = bernoulli_edge_pruner(cfg["seed"])
+        depths, fractions = check_curve_args(depths, fractions, cfg["trials"])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     graphs = parse_container_detailed(cfg["input"]).graphs
     if not 0 <= cfg["graph_index"] < len(graphs):
         raise UsageError(f"graph_index {cfg['graph_index']} outside container of {len(graphs)}")
-    try:
-        depths = _parse_int_list(cfg["depths"])
-        fractions = _parse_float_list(cfg["fractions"])
-    except ValueError as exc:
-        raise UsageError(f"bad depths/fractions list: {exc}") from None
     curve = neighborhood_variance_curve(
         graphs[cfg["graph_index"]],
         depths,
@@ -343,13 +370,11 @@ def _cmd_compare(args) -> int:
     if cfg["pairs_file"]:
         pairs = parse_pairs(cfg["pairs_file"])
     else:
-        pairs = [(u, v) for u in range(g.num_nodes) for v in range(u + 1, g.num_nodes)]
+        pairs = np.column_stack(np.triu_indices(g.num_nodes, 1))
 
     values = jaccard_locality(g, gp, pairs)
-    rows = [
-        [u, v, repr(float(jb)), repr(float(ja))]
-        for (u, v), (jb, ja) in zip(pairs, values)
-    ]
+    # Python ints and floats: str of a float is its repr
+    rows = [uv + jj for uv, jj in zip(pairs.tolist(), values.tolist())]
     table = format_tsv(["u", "v", "jaccard_before", "jaccard_after"], rows)
     Path(cfg["output"]).write_text(table, encoding="utf-8")
     return 0

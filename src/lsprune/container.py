@@ -17,6 +17,12 @@ comment line.  Node ids are normally the dense range ``0 .. num_nodes - 1``;
 files with other distinct ids are accepted and remapped by order of
 appearance, with the mapping reported so it can be emitted alongside output.
 
+Readers and the writer stream: text is read ``_READ_CHUNK`` characters at a
+time and rows are converted or formatted a chunk at a time, so memory beyond
+the parsed graphs stays bounded by one block.  Lines break where
+``str.splitlines`` breaks them; integer and float tokens take the syntax of
+Python's ``int()`` and ``float()``.
+
 Hash-family parameters use the same line-oriented style under an ``lsph 1``
 magic so a pruning run can be replayed bit-exactly from its sidecar.
 """
@@ -48,44 +54,80 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-_ROW_CHUNK = 1024  # rows turned into Python objects at once; bounds the writer's extra memory
+_READ_CHUNK = 1 << 18  # characters read at once; bounds the text a reader holds
+_TOKEN_CHUNK = 4096  # tokens converted to numbers at once; bounds the token lists held
+_ROW_CHUNK = 1024  # rows the writer turns into Python objects and text at once
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+_MAX_DIM = 2**60  # numpy cannot shape a float64 array this wide, even with no rows
+_INT64 = range(-(2**63), 2**63)
 
 
-def _rows(arr: np.ndarray):
-    """Rows of ``arr`` as Python lists (or scalars), converted a chunk at a time."""
-    for start in range(0, len(arr), _ROW_CHUNK):
-        yield from arr[start : start + _ROW_CHUNK].tolist()
+class _Scanner:
+    """Significant lines of an open text file, read ``_READ_CHUNK`` characters at a time.
 
+    Lines break exactly where ``str.splitlines`` breaks the whole text (the
+    file is opened with universal newlines, so ``\r\n`` and ``\r`` arrive as
+    ``\n``).  Blank lines and lines whose first token starts with ``#`` are
+    skipped; every line is returned with its 1-based number and its tokens.
+    """
 
-class _Lines:
-    """Line cursor that skips comments and blanks and tracks line numbers."""
+    def __init__(self, fh, magic: str | None = None):
+        self._fh = fh
+        self._magic = magic  # line 1 must read this
+        self._raw: list[str] = []  # lines of the current piece
+        self._pos = 0  # next line of _raw to scan
+        self._lineno = 0  # lines scanned so far
+        self._carry = ""  # unterminated tail of the last piece
+        self._eof = False
+        self._back = None  # the line peek() handed back
 
-    def __init__(self, text: str):
-        self._lines = text.splitlines()
-        self._pos = 0
+    def _read(self) -> bool:
+        """Load the lines of the next piece; False once the file is exhausted."""
+        while not self._eof:
+            piece = self._fh.read(_READ_CHUNK)
+            self._eof = not piece
+            raw = (self._carry + piece).splitlines(keepends=True)
+            self._carry = ""
+            if piece and raw and raw[-1].splitlines()[0] == raw[-1]:
+                self._carry = raw.pop()  # the line may go on in the next piece
+            if self._magic is not None and (raw or self._eof):
+                first = raw[0].strip() if raw else ""
+                if first != self._magic:
+                    raise ContainerFormatError(
+                        f"magic mismatch: expected {self._magic!r}, got {first!r}", 1
+                    )
+                raw[0] = ""  # consumed
+                self._magic = None
+            if raw:
+                self._raw, self._pos = raw, 0
+                return True
+        return False
+
+    def take(self, n: int):
+        """Up to ``n`` significant lines as (line numbers, token lists); empty at end of file."""
+        if self._back is not None:
+            (line, tokens), self._back = self._back, None
+            return [line], [tokens]
+        while self._pos < len(self._raw) or self._read():
+            seg = self._raw[self._pos : self._pos + n]
+            self._pos += len(seg)
+            first = self._lineno + 1
+            self._lineno += len(seg)
+            rows = [t for t in map(str.split, seg) if t and t[0][0] != "#"]
+            if len(rows) == len(seg):
+                return range(first, first + len(seg)), rows
+            if rows:
+                keep = [i for i, raw in enumerate(seg) if (s := raw.lstrip()) and s[0] != "#"]
+                return [first + i for i in keep], rows
+        return [], []
 
     def next(self) -> tuple[int, list[str]] | None:
-        while self._pos < len(self._lines):
-            self._pos += 1
-            raw = self._lines[self._pos - 1]
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            return self._pos, stripped.split()
-        return None
+        lines, rows = self.take(1)
+        return (lines[0], rows[0]) if rows else None
 
     def peek(self) -> tuple[int, list[str]] | None:
-        pos = self._pos
-        out = self.next()
-        self._pos = pos
-        return out
-
-    def expect_magic(self, magic: str) -> None:
-        """Consume line 1, which must read ``magic``."""
-        first = self._lines[0].strip() if self._lines else ""
-        if first != magic:
-            raise ContainerFormatError(f"magic mismatch: expected {magic!r}, got {first!r}", 1)
-        self._pos = 1
+        self._back = self.next()
+        return self._back
 
 
 def _want_int(token: str, what: str, line: int) -> int:
@@ -106,6 +148,88 @@ def _want_floats(tokens: list[str], want: int, what: str, line: int) -> list[flo
         raise ContainerFormatError(f"bad {what} value on this line", line) from None
 
 
+def _table(rows: list[list[str]], tag: str, width: int) -> np.ndarray:
+    """Token rows as an object array; ValueError unless each is ``tag`` and ``width`` tokens."""
+    table = np.array(rows, dtype=object)  # rows of unequal length raise ValueError
+    if table.ndim != 2 or table.shape[1] != width or not (table[:, 0] == tag).all():
+        raise ValueError(f"not a clean block of {tag!r} rows")
+    return table
+
+
+def _ints(values: list[int]) -> np.ndarray:
+    """``values`` as int64, or as Python ints when one lies beyond int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _plain_ints(tokens: np.ndarray, values: np.ndarray) -> bool:
+    """Whether each token spells its non-negative value as ``str`` does.
+
+    Any other spelling ``int`` accepts (sign, leading zeros, underscores,
+    non-ASCII digits) is longer than the plain one or not ASCII.
+    """
+    text = "".join(tokens.ravel().tolist())
+    digits = values.size + int(np.searchsorted(_POW10, values.ravel(), side="right").sum())
+    return text.isascii() and len(text) == digits
+
+
+def _first_repeat(keys: np.ndarray) -> int | None:
+    """Position of the first key equal to an earlier one, or None."""
+    order = np.argsort(keys, kind="stable")  # equal keys keep their file order
+    ranked = keys[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    return int(repeats.min()) if repeats.size else None
+
+
+def _line_at(chunks, row: int) -> int:
+    """Line number of ``row``, given the line numbers of each chunk of rows."""
+    for lines in chunks:
+        if row < len(lines):
+            return lines[row]
+        row -= len(lines)
+    raise IndexError(row)
+
+
+class _NodeIds:
+    """The node ids a block declares, in file order, and the dense index of each."""
+
+    def __init__(self, ids: np.ndarray):
+        self.ids = ids
+        self.count = len(ids)
+        # distinct non-negative ids are exactly 0 .. count - 1 when all lie below count
+        self.dense = self.count == 0 or ids.max() < self.count
+        if not self.dense:  # remapped by order of appearance
+            self._order = np.argsort(ids, kind="stable")
+            self._sorted = ids[self._order]
+
+    def find(self, ids: np.ndarray) -> np.ndarray | None:
+        """Dense indices of ``ids``, or None if one of them is not declared."""
+        if self.dense:
+            return ids if ((ids >= 0) & (ids < self.count)).all() else None
+        pos = np.minimum(np.searchsorted(self._sorted, ids), self.count - 1)
+        return self._order[pos] if (self._sorted[pos] == ids).all() else None
+
+    def lookup(self, nid: int) -> int | None:
+        if self.dense:
+            return nid if 0 <= nid < self.count else None
+        found = self.find(np.array([nid]))
+        return None if found is None else int(found[0])
+
+    def original(self, index: np.ndarray) -> list[int]:
+        return (index if self.dense else self.ids[index]).tolist()
+
+
+def _resolve(token: str, what: str, line: int, nodes: _NodeIds) -> tuple[int, int]:
+    """The id ``token`` spells and its dense index; it must be a declared node."""
+    nid = _want_int(token, what, line)
+    index = nodes.lookup(nid)
+    if index is None:
+        raise ContainerFormatError(f"out-of-range index: {what} {nid} is not a declared node", line)
+    return nid, index
+
+
 @dataclass(frozen=True)
 class ParsedContainer:
     graphs: list[Graph]
@@ -114,24 +238,24 @@ class ParsedContainer:
 
 
 def parse_container_detailed(path) -> ParsedContainer:
-    """Parse a container keeping graph ids and any node-id remappings."""
-    cursor = _Lines(Path(path).read_text(encoding="utf-8"))
-    cursor.expect_magic(GRAPH_MAGIC)
+    """Parse a container keeping graph ids and any node-id remappings.
 
+    The file is read in bounded pieces and each block's rows are converted a
+    chunk at a time, so memory beyond the result stays bounded by one block.
+    """
     graphs: list[Graph] = []
     graph_ids: list[str] = []
     id_maps: list[dict[int, int] | None] = []
-    while True:
-        item = cursor.next()
-        if item is None:
-            break
-        line, tokens = item
-        if tokens[0] != "G":
-            raise ContainerFormatError(f"expected a 'G' block header, got {tokens[0]!r}", line)
-        graph, gid, id_map = _parse_block(cursor, tokens, line)
-        graphs.append(graph)
-        graph_ids.append(gid)
-        id_maps.append(id_map)
+    with open(path, encoding="utf-8") as fh:
+        scan = _Scanner(fh, GRAPH_MAGIC)
+        while (item := scan.next()) is not None:
+            line, tokens = item
+            if tokens[0] != "G":
+                raise ContainerFormatError(f"expected a 'G' block header, got {tokens[0]!r}", line)
+            graph, gid, id_map = _parse_block(scan, tokens, line)
+            graphs.append(graph)
+            graph_ids.append(gid)
+            id_maps.append(id_map)
     if not graphs:
         raise ContainerFormatError("container holds no graph blocks")
     return ParsedContainer(graphs=graphs, graph_ids=graph_ids, id_maps=id_maps)
@@ -142,7 +266,7 @@ def parse_container(path) -> list[Graph]:
     return parse_container_detailed(path).graphs
 
 
-def _parse_block(cursor: _Lines, header: list[str], header_line: int):
+def _parse_block(scan: _Scanner, header: list[str], header_line: int):
     if len(header) not in (2, 3):
         raise ContainerFormatError("G line must be 'G <graph_id> [label=<int>]'", header_line)
     gid = header[1]
@@ -152,125 +276,32 @@ def _parse_block(cursor: _Lines, header: list[str], header_line: int):
             raise ContainerFormatError(f"unexpected token {header[2]!r} on G line", header_line)
         graph_label = _want_int(header[2][len("label=") :], "graph label", header_line)
 
-    item = cursor.next()
-    if item is None or item[1][0] != "N" or len(item[1]) != 3:
-        raise ContainerFormatError(
-            "expected 'N <num_nodes> <node_dim>' after the G line",
-            item[0] if item else header_line,
-        )
-    line, tokens = item
-    num_nodes = _want_int(tokens[1], "num_nodes", line)
-    node_dim = _want_int(tokens[2], "node_dim", line)
-    if num_nodes < 0 or node_dim < 0:
-        raise ContainerFormatError("counts must be non-negative", line)
+    line, num_nodes, node_dim = _count_line(scan, "N", ("num_nodes", "node_dim"), "G", header_line)
+    line, num_edges, edge_dim = _count_line(scan, "M", ("num_edges", "edge_dim"), "N", line)
 
-    item = cursor.next()
-    if item is None or item[1][0] != "M" or len(item[1]) != 3:
-        raise ContainerFormatError(
-            "expected 'M <num_edges> <edge_dim>' after the N line",
-            item[0] if item else line,
-        )
-    line, tokens = item
-    num_edges = _want_int(tokens[1], "num_edges", line)
-    edge_dim = _want_int(tokens[2], "edge_dim", line)
-    if num_edges < 0 or edge_dim < 0:
-        raise ContainerFormatError("counts must be non-negative", line)
-
-    # node lines; arbitrary distinct ids are remapped by order of appearance
-    order: list[int] = []
-    seen_ids: set[int] = set()
-    node_rows: list[list[float]] = []
-    for _ in range(num_nodes):
-        item = cursor.next()
-        if item is None or item[1][0] != "node":
-            raise ContainerFormatError(
-                f"count mismatch: expected {num_nodes} node lines",
-                item[0] if item else line,
-            )
-        line, tokens = item
-        if len(tokens) < 2:
-            raise ContainerFormatError("node line needs an id", line)
-        nid = _want_int(tokens[1], "node id", line)
-        if nid < 0:
-            raise ContainerFormatError(f"node id {nid} is negative", line)
-        if nid in seen_ids:
-            raise ContainerFormatError(f"duplicate node id {nid}", line)
-        seen_ids.add(nid)
-        order.append(nid)
-        node_rows.append(_want_floats(tokens[2:], node_dim, "node attribute", line))
-
-    dense = sorted(order) == list(range(num_nodes))
-    if dense:
-        id_map = None
-        index = {nid: nid for nid in order}
-    else:
-        index = {nid: pos for pos, nid in enumerate(order)}
-        id_map = dict(index)
+    ids, node_values, line = _node_rows(scan, num_nodes, node_dim, line)
+    nodes = _NodeIds(ids)
+    edges, edge_values = _edge_rows(scan, num_edges, edge_dim, line, nodes)
 
     node_attrs = None
     if node_dim > 0:
-        node_attrs = np.zeros((num_nodes, node_dim))
-        for nid, row in zip(order, node_rows):
-            node_attrs[index[nid]] = row
-
-    def resolve(token: str, what: str, line: int) -> int:
-        nid = _want_int(token, what, line)
-        if nid not in index:
-            raise ContainerFormatError(
-                f"out-of-range index: {what} {nid} is not a declared node", line
-            )
-        return index[nid]
-
-    edges = np.zeros((num_edges, 2), dtype=np.int64)
-    edge_attrs = np.zeros((num_edges, edge_dim)) if edge_dim > 0 else None
-    seen_edges: set[tuple[int, int]] = set()
-    warned_direction = False
-    for row in range(num_edges):
-        item = cursor.next()
-        if item is None or item[1][0] != "edge":
-            raise ContainerFormatError(
-                f"count mismatch: expected {num_edges} edge lines",
-                item[0] if item else line,
-            )
-        line, tokens = item
-        if len(tokens) < 3:
-            raise ContainerFormatError("edge line needs two endpoints", line)
-        u = resolve(tokens[1], "edge endpoint", line)
-        v = resolve(tokens[2], "edge endpoint", line)
-        if u == v:
-            raise ContainerFormatError(
-                f"edge ({tokens[1]}, {tokens[2]}) is a self-loop; use a 'loop' line", line
-            )
-        if int(tokens[1]) > int(tokens[2]) and not warned_direction:
-            warnings.warn(
-                f"line {line}: directed edge order treated as undirected", stacklevel=3
-            )
-            warned_direction = True
-        if u > v:
-            u, v = v, u
-        if (u, v) in seen_edges:
-            raise ContainerFormatError(f"duplicate edge ({tokens[1]}, {tokens[2]})", line)
-        seen_edges.add((u, v))
-        edges[row] = (u, v)
-        if edge_attrs is not None:
-            edge_attrs[row] = _want_floats(tokens[3:], edge_dim, "edge attribute", line)
-        elif len(tokens) != 3:
-            raise ContainerFormatError(
-                f"count mismatch: expected 0 edge attribute values, got {len(tokens) - 3}", line
-            )
+        node_attrs = node_values
+        if nodes.dense:  # row i holds node i
+            node_attrs = np.empty_like(node_values)
+            node_attrs[ids] = node_values
+    id_map = None if nodes.dense else dict(zip(ids.tolist(), range(num_nodes)))
 
     labels: dict[int, int] = {}
-    while True:
-        item = cursor.peek()
-        if item is None or item[1][0] != "nodelabel":
-            break
-        line, tokens = cursor.next()
+    while (item := scan.peek()) is not None and item[1][0] == "nodelabel":
+        line, tokens = scan.next()
         if len(tokens) != 3:
             raise ContainerFormatError("nodelabel line must be 'nodelabel <id> <int>'", line)
-        nid = resolve(tokens[1], "nodelabel id", line)
+        _, nid = _resolve(tokens[1], "nodelabel id", line, nodes)
         if nid in labels:
             raise ContainerFormatError(f"duplicate nodelabel for node {tokens[1]}", line)
         labels[nid] = _want_int(tokens[2], "node label", line)
+        if labels[nid] not in _INT64:
+            raise ContainerFormatError(f"node label {labels[nid]} does not fit in 64 bits", line)
     if labels and len(labels) != num_nodes:
         raise ContainerFormatError(
             f"count mismatch: {len(labels)} nodelabel lines for {num_nodes} nodes "
@@ -282,14 +313,11 @@ def _parse_block(cursor: _Lines, header: list[str], header_line: int):
         node_labels = np.array([labels[i] for i in range(num_nodes)], dtype=np.int64)
 
     loops: set[int] = set()
-    while True:
-        item = cursor.peek()
-        if item is None or item[1][0] != "loop":
-            break
-        line, tokens = cursor.next()
+    while (item := scan.peek()) is not None and item[1][0] == "loop":
+        line, tokens = scan.next()
         if len(tokens) != 2:
             raise ContainerFormatError("loop line must be 'loop <id>'", line)
-        nid = resolve(tokens[1], "loop id", line)
+        _, nid = _resolve(tokens[1], "loop id", line, nodes)
         if nid in loops:
             raise ContainerFormatError(f"duplicate loop for node {tokens[1]}", line)
         loops.add(nid)
@@ -298,7 +326,7 @@ def _parse_block(cursor: _Lines, header: list[str], header_line: int):
         num_nodes=num_nodes,
         edges=edges,
         node_attrs=node_attrs,
-        edge_attrs=edge_attrs,
+        edge_attrs=edge_values if edge_dim > 0 else None,
         node_labels=node_labels,
         graph_label=graph_label,
         self_loops=frozenset(loops),
@@ -306,40 +334,218 @@ def _parse_block(cursor: _Lines, header: list[str], header_line: int):
     return graph, gid, id_map
 
 
-def format_container(graphs, graph_ids=None) -> str:
-    """Serialize graphs into container text (deterministic, round-trips)."""
+def _count_line(scan: _Scanner, tag: str, names: tuple[str, str], after: str, line: int):
+    """The ``N`` or ``M`` line of a block: its line number, row count and attribute width."""
+    item = scan.next()
+    if item is None or item[1][0] != tag or len(item[1]) != 3:
+        raise ContainerFormatError(
+            f"expected '{tag} <{names[0]}> <{names[1]}>' after the {after} line",
+            item[0] if item else line,
+        )
+    line, tokens = item
+    count, dim = (_want_int(token, name, line) for token, name in zip(tokens[1:], names))
+    if count < 0 or dim < 0:
+        raise ContainerFormatError("counts must be non-negative", line)
+    if dim >= _MAX_DIM:
+        raise ContainerFormatError(f"{names[1]} {dim} is too large", line)
+    return line, count, dim
+
+
+def _chunks(scan: _Scanner, count: int, width: int, mismatch: str, line: int, lines: list,
+            check_repeats):
+    """A block's ``count`` rows of ``width`` tokens, ``_TOKEN_CHUNK`` tokens at a time.
+
+    Yields (offset of the first row, line numbers, token rows) and appends
+    the line numbers to ``lines``.  Running out of lines raises ``mismatch``
+    at the last line read, once ``check_repeats`` has run over the rows read.
+    """
+    got = 0
+    while got < count:
+        chunk_lines, rows = scan.take(min(count - got, max(1, _TOKEN_CHUNK // width)))
+        if not rows:
+            check_repeats()
+            raise ContainerFormatError(mismatch, line)
+        lines.append(chunk_lines)
+        yield got, chunk_lines, rows
+        got += len(rows)
+        line = chunk_lines[-1]
+
+
+def _stack(chunks: list[np.ndarray], empty_shape: tuple[int, ...]) -> np.ndarray:
+    return np.concatenate(chunks) if chunks else np.empty(empty_shape, np.int64)
+
+
+def _node_rows(scan: _Scanner, count: int, dim: int, line: int):
+    """A block's ``count`` node lines: ids in file order, attribute rows, last line number.
+
+    Each chunk is converted with one cast per column block; a chunk that
+    does not convert cleanly is checked line by line, and the first failing
+    line raises the same error a line-by-line reader raises.  Duplicate ids
+    are checked over the whole block before any error after them.
+    """
+    mismatch = f"count mismatch: expected {count} node lines"
+    ids: list[np.ndarray] = []
+    values: list[np.ndarray] = []
+    lines: list = []
+
+    def check_repeats() -> np.ndarray:
+        every = _stack(ids, (0,))
+        row = _first_repeat(every)
+        if row is not None:
+            raise ContainerFormatError(f"duplicate node id {every[row]}", _line_at(lines, row))
+        return every
+
+    def one_by_one(chunk_lines, rows):
+        nids, vals = [], []
+        try:
+            for ln, tokens in zip(chunk_lines, rows):
+                if tokens[0] != "node":
+                    raise ContainerFormatError(mismatch, ln)
+                if len(tokens) < 2:
+                    raise ContainerFormatError("node line needs an id", ln)
+                nid = _want_int(tokens[1], "node id", ln)
+                if nid < 0:
+                    raise ContainerFormatError(f"node id {nid} is negative", ln)
+                nids.append(nid)
+                vals.append(_want_floats(tokens[2:], dim, "node attribute", ln))
+        except ContainerFormatError:
+            ids.append(_ints(nids))  # a repeated id before the failure is reported first
+            check_repeats()
+            raise
+        return _ints(nids), np.array(vals, dtype=np.float64)
+
+    for _, chunk_lines, rows in _chunks(scan, count, 2 + dim, mismatch, line, lines,
+                                        check_repeats):
+        try:
+            table = _table(rows, "node", 2 + dim)
+            nid = table[:, 1].astype(np.int64)
+            vals = table[:, 2:].astype(np.float64)
+            if (nid < 0).any():
+                raise ValueError("negative node id")
+        except (ValueError, OverflowError):
+            nid, vals = one_by_one(chunk_lines, rows)
+        ids.append(nid)
+        values.append(vals)
+    every = check_repeats()
+    node_values = np.concatenate(values) if values else np.empty((0, dim))
+    return every, node_values, lines[-1][-1] if lines else line
+
+
+def _edge_rows(scan: _Scanner, count: int, dim: int, line: int, nodes: _NodeIds):
+    """A block's ``count`` edge lines: dense endpoint pairs and attribute rows.
+
+    Converted a chunk at a time like :func:`_node_rows`.  Undeclared
+    endpoints and self-loops fail their chunk; duplicate edges and the first
+    reversed edge (a warning) are checked over the whole block before any
+    error after them.
+    """
+    mismatch = f"count mismatch: expected {count} edge lines"
+    pairs: list[np.ndarray] = []
+    values: list[np.ndarray] = []
+    lines: list = []
+    spelled: dict[int, tuple[str, str]] = {}  # row -> endpoint tokens that str() would not give
+    flipped: list[int] = []  # the first row that lists the larger id first
+
+    def check_repeats() -> np.ndarray:
+        every = _stack(pairs, (0, 2))
+        lo, hi = every.min(axis=1), every.max(axis=1)
+        row = _first_repeat(lo * max(nodes.count, 1) + hi)
+        if flipped and (row is None or flipped[0] <= row):
+            warnings.warn(
+                f"line {_line_at(lines, flipped[0])}: directed edge order treated as undirected",
+                stacklevel=5,
+            )
+        if row is not None:
+            u, v = spelled.get(row) or nodes.original(every[row])
+            raise ContainerFormatError(f"duplicate edge ({u}, {v})", _line_at(lines, row))
+        return every
+
+    def one_by_one(chunk_lines, rows, offset):
+        uv, vals = [], []
+        try:
+            for i, (ln, tokens) in enumerate(zip(chunk_lines, rows), offset):
+                if tokens[0] != "edge":
+                    raise ContainerFormatError(mismatch, ln)
+                if len(tokens) < 3:
+                    raise ContainerFormatError("edge line needs two endpoints", ln)
+                a, u = _resolve(tokens[1], "edge endpoint", ln, nodes)
+                b, v = _resolve(tokens[2], "edge endpoint", ln, nodes)
+                if u == v:
+                    raise ContainerFormatError(
+                        f"edge ({tokens[1]}, {tokens[2]}) is a self-loop; use a 'loop' line", ln
+                    )
+                if a > b and not flipped:
+                    flipped.append(i)
+                if (str(a), str(b)) != (tokens[1], tokens[2]):
+                    spelled[i] = (tokens[1], tokens[2])
+                uv.append((u, v))
+                vals.append(_want_floats(tokens[3:], dim, "edge attribute", ln))
+        except ContainerFormatError:
+            pairs.append(np.array(uv, dtype=np.int64).reshape(-1, 2))
+            check_repeats()  # the reversed-edge warning and a repeated edge come first
+            raise
+        return np.array(uv, dtype=np.int64), np.array(vals, dtype=np.float64)
+
+    for offset, chunk_lines, rows in _chunks(scan, count, 3 + dim, mismatch, line, lines,
+                                             check_repeats):
+        try:
+            table = _table(rows, "edge", 3 + dim)
+            ends = table[:, 1:3].astype(np.int64)
+            uv = nodes.find(ends)
+            if uv is None or (uv[:, 0] == uv[:, 1]).any() or not _plain_ints(table[:, 1:3], ends):
+                raise ValueError("undeclared, self-loop or unusually spelled endpoint")
+            vals = table[:, 3:].astype(np.float64)
+            if not flipped and (ends[:, 0] > ends[:, 1]).any():
+                flipped.append(offset + int(np.argmax(ends[:, 0] > ends[:, 1])))
+        except (ValueError, OverflowError):
+            uv, vals = one_by_one(chunk_lines, rows, offset)
+        pairs.append(uv)
+        values.append(vals)
+    return check_repeats(), np.concatenate(values) if values else np.empty((0, dim))
+
+
+def _container_pieces(graphs, graph_ids):
+    """Container text in pieces of at most ``_ROW_CHUNK`` rows."""
     graphs = list(graphs)
     if graph_ids is None:
         graph_ids = [str(i) for i in range(len(graphs))]
-    out: list[str] = [GRAPH_MAGIC]
+    yield GRAPH_MAGIC + "\n"
     for gid, g in zip(graph_ids, graphs):
         header = f"G {gid}"
         if g.graph_label is not None:
             header += f" label={int(g.graph_label)}"
-        out.append(header)
-        out.append(f"N {g.num_nodes} {g.node_dim()}")
-        out.append(f"M {g.num_edges} {g.edge_dim()}")
+        yield f"{header}\nN {g.num_nodes} {g.node_dim()}\nM {g.num_edges} {g.edge_dim()}\n"
         # Python floats and ints, not numpy scalars; repr of a float round-trips it
-        if g.node_attrs is None:
-            out.extend(f"node {nid}" for nid in range(g.num_nodes))
-        else:
-            for nid, row in enumerate(_rows(g.node_attrs)):
-                out.append(f"node {nid} {' '.join(map(repr, row))}")
-        if g.edge_attrs is None:
-            out.extend(f"edge {u} {v}" for u, v in _rows(g.edges))
-        else:
-            for (u, v), row in zip(_rows(g.edges), _rows(g.edge_attrs)):
-                out.append(f"edge {u} {v} {' '.join(map(repr, row))}")
+        for start in range(0, g.num_nodes, _ROW_CHUNK):
+            stop = min(start + _ROW_CHUNK, g.num_nodes)
+            if g.node_attrs is None:
+                yield "".join(f"node {nid}\n" for nid in range(start, stop))
+            else:
+                rows = enumerate(g.node_attrs[start:stop].tolist(), start)
+                yield "".join(f"node {nid} {' '.join(map(repr, row))}\n" for nid, row in rows)
+        for start in range(0, g.num_edges, _ROW_CHUNK):
+            ends = g.edges[start : start + _ROW_CHUNK].tolist()
+            if g.edge_attrs is None:
+                yield "".join(f"edge {u} {v}\n" for u, v in ends)
+            else:
+                rows = zip(ends, g.edge_attrs[start : start + _ROW_CHUNK].tolist())
+                yield "".join(f"edge {u} {v} {' '.join(map(repr, row))}\n" for (u, v), row in rows)
         if g.node_labels is not None:
-            out.extend(f"nodelabel {nid} {y}" for nid, y in enumerate(_rows(g.node_labels)))
-        for nid in sorted(g.self_loops):
-            out.append(f"loop {nid}")
-    out.append("")
-    return "\n".join(out)
+            for start in range(0, g.num_nodes, _ROW_CHUNK):
+                labels = enumerate(g.node_labels[start : start + _ROW_CHUNK].tolist(), start)
+                yield "".join(f"nodelabel {nid} {y}\n" for nid, y in labels)
+        yield "".join(f"loop {nid}\n" for nid in sorted(g.self_loops))
+
+
+def format_container(graphs, graph_ids=None) -> str:
+    """Serialize graphs into container text (deterministic, round-trips)."""
+    return "".join(_container_pieces(graphs, graph_ids))
 
 
 def write_container(graphs, path, graph_ids=None) -> None:
-    Path(path).write_text(format_container(graphs, graph_ids), encoding="utf-8")
+    """Write the container text of ``graphs`` to ``path``, ``_ROW_CHUNK`` rows at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_container_pieces(graphs, graph_ids))
 
 
 def format_family(family: LshFamily) -> str:
@@ -364,9 +570,9 @@ def write_family(family: LshFamily, path) -> None:
     Path(path).write_text(format_family(family), encoding="utf-8")
 
 
-def _function_line(cursor: _Lines, tag: str, i: int, k: int, line: int):
+def _function_line(scan: _Scanner, tag: str, i: int, k: int, line: int):
     """The next family line, which must read ``<tag> <i> ...``."""
-    item = cursor.next()
+    item = scan.next()
     if item is None or item[1][0] != tag:
         raise ContainerFormatError(f"count mismatch: expected {k} '{tag}' lines", line)
     line, tokens = item
@@ -379,56 +585,74 @@ def _function_line(cursor: _Lines, tag: str, i: int, k: int, line: int):
 
 def parse_family(path) -> LshFamily:
     """Load hash-family parameters from a sidecar file."""
-    cursor = _Lines(Path(path).read_text(encoding="utf-8"))
-    cursor.expect_magic(FAMILY_MAGIC)
-
-    item = cursor.next()
-    if item is None or item[1][0] != "family" or len(item[1]) != 7:
-        raise ContainerFormatError(
-            "expected 'family <variant> <k> <d> <m> <l> <master_seed>'",
-            item[0] if item else 1,
-        )
-    line, tokens = item
-    variant = tokens[1]
-    k = _want_int(tokens[2], "k", line)
-    d = _want_int(tokens[3], "d", line)
-    m = _want_int(tokens[4], "m", line)
-    try:
-        l = float(tokens[5])
-    except ValueError:
-        raise ContainerFormatError("bad bin width", line) from None
-    master_seed = _want_int(tokens[6], "master_seed", line)
-    try:
-        cfg = LshFamilyConfig(variant=variant, d=d, k=k, m=m, l=l, master_seed=master_seed)
-    except ValueError as exc:
-        raise ContainerFormatError(str(exc), line) from None
-
-    vectors = np.zeros((k, d))
-    for i in range(k):
-        line, tokens = _function_line(cursor, "w", i, k, line)
-        vectors[i] = _want_floats(tokens[2:], d, "parameter", line)
-
-    if variant == LSP_T:
-        return LshFamily(config=cfg, thresholds=vectors)
-
-    offsets = np.zeros(k)
-    for i in range(k):
-        line, tokens = _function_line(cursor, "b", i, k, line)
-        offsets[i] = _want_floats(tokens[2:], 1, "offset", line)[0]
-    return LshFamily(config=cfg, directions=vectors, offsets=offsets)
-
-
-def parse_pairs(path) -> list[tuple[int, int]]:
-    """Read a node-pair file: one ``<u> <v>`` line per pair; ``#`` lines are comments."""
-    cursor = _Lines(Path(path).read_text(encoding="utf-8"))
-    pairs = []
-    while (item := cursor.next()) is not None:
+    with open(path, encoding="utf-8") as fh:
+        scan = _Scanner(fh, FAMILY_MAGIC)
+        item = scan.next()
+        if item is None or item[1][0] != "family" or len(item[1]) != 7:
+            raise ContainerFormatError(
+                "expected 'family <variant> <k> <d> <m> <l> <master_seed>'",
+                item[0] if item else 1,
+            )
         line, tokens = item
-        if len(tokens) != 2:
-            raise ContainerFormatError("pair line must be '<u> <v>'", line)
-        u, v = (_want_int(t, "pair node", line) for t in tokens)
-        pairs.append((u, v))
-    return pairs
+        variant = tokens[1]
+        k = _want_int(tokens[2], "k", line)
+        d = _want_int(tokens[3], "d", line)
+        m = _want_int(tokens[4], "m", line)
+        try:
+            l = float(tokens[5])
+        except ValueError:
+            raise ContainerFormatError("bad bin width", line) from None
+        master_seed = _want_int(tokens[6], "master_seed", line)
+        try:
+            cfg = LshFamilyConfig(variant=variant, d=d, k=k, m=m, l=l, master_seed=master_seed)
+        except ValueError as exc:
+            raise ContainerFormatError(str(exc), line) from None
+
+        vectors = []
+        for i in range(k):
+            line, tokens = _function_line(scan, "w", i, k, line)
+            vectors.append(_want_floats(tokens[2:], d, "parameter", line))
+        vectors = np.array(vectors)
+
+        if variant == LSP_T:
+            return LshFamily(config=cfg, thresholds=vectors)
+
+        offsets = []
+        for i in range(k):
+            line, tokens = _function_line(scan, "b", i, k, line)
+            offsets.append(_want_floats(tokens[2:], 1, "offset", line)[0])
+        return LshFamily(config=cfg, directions=vectors, offsets=np.array(offsets))
+
+
+def _pair(line: int, tokens: list[str]) -> tuple[int, int]:
+    if len(tokens) != 2:
+        raise ContainerFormatError("pair line must be '<u> <v>'", line)
+    u, v = (_want_int(t, "pair node", line) for t in tokens)
+    if u not in _INT64 or v not in _INT64:
+        raise ContainerFormatError(f"pair ({u}, {v}) out of range", line)
+    return u, v
+
+
+def parse_pairs(path) -> np.ndarray:
+    """Read a node-pair file: one ``<u> <v>`` line per pair; ``#`` lines are comments.
+
+    Returns a ``(P, 2)`` int64 array, converted a chunk of lines at a time.
+    """
+    chunks = []
+    with open(path, encoding="utf-8") as fh:
+        scan = _Scanner(fh)
+        while True:
+            lines, rows = scan.take(max(1, _TOKEN_CHUNK // 2))
+            if not rows:
+                break
+            try:
+                table = np.array(rows, dtype=object)  # rows of unequal length raise ValueError
+                if table.ndim != 2 or table.shape[1] != 2:
+                    raise ValueError("not a clean block of pairs")
+                chunks.append(table.astype(np.int64))
+            except (ValueError, OverflowError):
+                chunks.append(np.array([_pair(*item) for item in zip(lines, rows)], dtype=np.int64))
+    return _stack(chunks, (0, 2))
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -453,9 +677,8 @@ def format_config(pairs) -> str:
 
 def format_tsv(header, rows) -> str:
     """Tab-separated table with a header row."""
-    lines = ["\t".join(str(h) for h in header)]
-    for row in rows:
-        lines.append("\t".join(str(c) for c in row))
+    lines = ["\t".join(map(str, header))]
+    lines.extend("\t".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 

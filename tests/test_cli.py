@@ -322,6 +322,20 @@ def test_prune_emits_idmap_for_remapped_ids(tmp_path, capsys):
     assert "10\t0" in idmap[1]
 
 
+def test_node_ids_beyond_int64_are_remapped_not_an_error(tmp_path, capsys):
+    big = 2**64 + 30
+    src = tmp_path / "ids.lspg"
+    src.write_text(f"lspg 1\nG 0\nN 3 0\nM 2 0\nnode 10\nnode {big}\nnode 20\n"
+                   f"edge 10 {big}\nedge 20 {big}\n")
+    out = tmp_path / "out.lspg"
+    code, _, _ = run(["prune", "--input", str(src), "--output", str(out),
+                      "--method", "random", "--p", "1.0"], capsys)
+    assert code == 0
+    idmap = (tmp_path / "out.lspg.idmap").read_text().splitlines()
+    assert idmap[1:] == ["0\t10\t0", "0\t20\t2", f"0\t{big}\t1"]
+    assert out.read_text().endswith("edge 0 1\nedge 1 2\n")
+
+
 def test_bucket_count_beyond_2_pow_63_is_usage_error(tmp_path, sample_container, capsys):
     for m in (2**64, 2**65):
         code, _, err = run(
@@ -478,3 +492,85 @@ def test_compare_bad_pair_line_names_line(tmp_path, capsys):
     )
     assert code == 2
     assert err.startswith("data-error: line 3: pair node must be an integer")
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--trials", "0", "trials must be >= 1, got 0"),
+    ("--depths", "0,-1", "depths must be >= 1, got (0, -1)"),
+    ("--depths", "", "depths must be >= 1, got ()"),
+    ("--fractions", "0,1.5", "fractions must lie in (0, 1], got (0.0, 1.5)"),
+    ("--fractions", "nan", "fractions must lie in (0, 1], got (nan,)"),
+])
+def test_stats_bad_curve_flag_is_usage_error_before_parsing(tmp_path, capsys, flag, value,
+                                                            message):
+    # the input does not exist: the flags are checked before it would be read
+    code, _, err = run(
+        ["stats", "--input", str(tmp_path / "absent.lspg"), "--output", str(tmp_path / "c.tsv"),
+         flag, value],
+        capsys,
+    )
+    assert code == 1
+    assert err == f"usage-error: {message}\n"
+
+
+def _mixed_container(path, first: dict, second: dict) -> None:
+    rng = np.random.default_rng(9)
+    graphs = [random_graph(rng, 6, 0.6, **first), random_graph(rng, 5, 0.6, **second)]
+    write_container(graphs, path, graph_ids=["a", "b"])
+
+
+@pytest.mark.parametrize("method", ["lsp-t", "lsp-p"])
+@pytest.mark.parametrize("first,second,message", [
+    ({"node_dim": 2}, {"node_dim": 3},
+     "graph 'b' (index 1): family dimension 4 does not match attributes of dimension 6"),
+    ({"node_dim": 2}, {"edge_dim": 1},
+     "graph 'b' (index 1): mode 'node_only' requires node attributes"),
+    ({"node_dim": 2, "edge_dim": 1}, {"node_dim": 2},
+     "graph 'b' (index 1): mode 'node_and_edge' requires edge attributes"),
+    ({}, {"node_dim": 2},
+     "graph 'a' (index 0): graph carries no attributes; cannot construct hash inputs"),
+])
+def test_heterogeneous_container_is_rejected_before_hashing(tmp_path, capsys, monkeypatch,
+                                                            method, first, second, message):
+    src = tmp_path / "mixed.lspg"
+    _mixed_container(src, first, second)
+    monkeypatch.setattr("lsprune.cli.prune_dataset", None)  # nothing may be hashed
+    out = tmp_path / "o.lspg"
+    code, _, err = run(["prune", "--input", str(src), "--output", str(out), "--method", method],
+                       capsys)
+    assert code == 2
+    assert err == f"data-error: {message}\n"
+    assert not out.exists()
+
+
+def test_family_dimension_is_checked_against_every_graph(tmp_path, sample_container, capsys):
+    code, _, _ = run(["prune", "--input", str(sample_container), "--output",
+                      str(tmp_path / "o.lspg"), "--method", "lsp-t"], capsys)
+    assert code == 0
+    src = tmp_path / "mixed.lspg"
+    _mixed_container(src, {"node_dim": 3, "edge_dim": 2}, {"node_dim": 2, "edge_dim": 2})
+    code, _, err = run(["prune", "--input", str(src), "--output", str(tmp_path / "o2.lspg"),
+                        "--method", "lsp-t", "--family", str(tmp_path / "o.lspg.family")],
+                       capsys)
+    assert code == 2
+    assert err == ("data-error: graph 'b' (index 1): family dimension 8 does not match "
+                   "attributes of dimension 6\n")
+
+
+@pytest.mark.parametrize("pair,message", [
+    ("0 99999999999999999999", "line 2: pair (0, 99999999999999999999) out of range"),
+    ("-1 2", "pair (-1, 2) out of range"),
+])
+def test_compare_pair_outside_the_graph_is_data_error(tmp_path, capsys, pair, message):
+    g = random_graph(np.random.default_rng(2), 6, 0.5)
+    a = tmp_path / "a.lspg"
+    write_container([g], a)
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text(f"0 1\n{pair}\n")
+    code, _, err = run(
+        ["compare", "--input", str(a), "--pruned", str(a),
+         "--output", str(tmp_path / "out.tsv"), "--pairs-file", str(pairs)],
+        capsys,
+    )
+    assert code == 2
+    assert err == f"data-error: {message}\n"

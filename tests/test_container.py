@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -167,6 +168,28 @@ def test_arbitrary_node_ids_remapped_with_mapping(tmp_path):
     (g,) = parsed.graphs
     assert parsed.id_maps[0] == {10: 0, 30: 1, 20: 2}
     assert sorted(map(tuple, g.edges.tolist())) == [(0, 1), (1, 2)]
+
+
+def test_parse_memory_is_bounded_by_one_block(tmp_path):
+    # peak minus what the result retains: the same for 1 and 40 copies of a graph
+    g = random_graph(np.random.default_rng(8), 200, 0.05, node_dim=4, edge_dim=2)
+    one, many = tmp_path / "one.lspg", tmp_path / "many.lspg"
+    write_container([g], one)
+    write_container([g] * 40, many)
+
+    def transient(path):
+        tracemalloc.start()
+        try:
+            parsed = parse_container_detailed(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(parsed.graphs) in (1, 40)
+        return peak - retained
+
+    with mock.patch.object(container, "_READ_CHUNK", 4096):  # both files span several reads
+        extra = transient(many) - transient(one)
+    assert extra < one.stat().st_size / 4
 
 
 def test_dense_out_of_order_ids_need_no_mapping(tmp_path):
