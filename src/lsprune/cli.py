@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
+from contextlib import closing
 
 import numpy as np
 
@@ -29,11 +29,13 @@ from .container import (
     ContainerFormatError,
     format_config,
     format_tsv,
+    iter_container,
     parse_config_file,
     parse_container_detailed,
     parse_family,
     parse_pairs,
     variance_curve_rows,
+    write_atomically,
     write_container,
     write_family,
 )
@@ -223,7 +225,7 @@ def _cmd_prune(args) -> int:
             zscore=cfg["zscore"],
         )
 
-    out = Path(cfg["output"])
+    out = cfg["output"]
     write_container([r.graph for r in results], out, graph_ids=parsed.graph_ids)
 
     report_rows = []
@@ -241,10 +243,10 @@ def _cmd_prune(args) -> int:
     report = format_tsv(
         ["graph", "edges_in", "edges_out", "kept_fraction", "wall_time_s"], report_rows
     )
-    Path(str(out) + ".report.tsv").write_text(report, encoding="utf-8")
+    write_atomically(out + ".report.tsv", [report])
 
     if family is not None:
-        write_family(family, str(out) + ".family")
+        write_family(family, out + ".family")
 
     if any(m is not None for m in parsed.id_maps):
         lines = []
@@ -253,9 +255,7 @@ def _cmd_prune(args) -> int:
                 continue
             for orig in sorted(id_map):
                 lines.append([gid, orig, id_map[orig]])
-        Path(str(out) + ".idmap").write_text(
-            format_tsv(["graph", "original_id", "dense_id"], lines), encoding="utf-8"
-        )
+        write_atomically(out + ".idmap", [format_tsv(["graph", "original_id", "dense_id"], lines)])
     return 0
 
 
@@ -291,12 +291,30 @@ def _cmd_generate(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    samples = generate_dataset(gen_cfg)
-    write_container([g for g, _label in samples], cfg["output"])
+    samples = generate_dataset(gen_cfg)  # generated one at a time as they are written
+    write_container((g for g, _label in samples), cfg["output"])
     return 0
 
 
 # ---------------------------------------------------------------- stats
+
+def _graph_at(path, index: int):
+    """Graph ``index`` of a container and the number of blocks read; no later block is read.
+
+    The graph is None when the container holds no more than ``index``
+    blocks, all of which are then read.  A negative index is a usage error
+    before the file is opened.
+    """
+    if index < 0:
+        raise UsageError(f"graph_index must be non-negative, got {index}")
+    read = 0
+    with closing(iter_container(path)) as blocks:
+        for graph, _gid, _id_map in blocks:
+            read += 1
+            if read > index:
+                return graph, read
+    return None, read
+
 
 _STATS_SCHEMA = [
     ("input", str, None),
@@ -324,18 +342,18 @@ def _cmd_stats(args) -> int:
         depths, fractions = check_curve_args(depths, fractions, cfg["trials"])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    graphs = parse_container_detailed(cfg["input"]).graphs
-    if not 0 <= cfg["graph_index"] < len(graphs):
-        raise UsageError(f"graph_index {cfg['graph_index']} outside container of {len(graphs)}")
+    graph, read = _graph_at(cfg["input"], cfg["graph_index"])
+    if graph is None:
+        raise UsageError(f"graph_index {cfg['graph_index']} outside container of {read}")
     curve = neighborhood_variance_curve(
-        graphs[cfg["graph_index"]],
+        graph,
         depths,
         fractions,
         pruner,
         trials=cfg["trials"],
     )
     table = format_tsv(["kept_fraction", "depth", "variance"], variance_curve_rows(curve))
-    Path(cfg["output"]).write_text(table, encoding="utf-8")
+    write_atomically(cfg["output"], [table])
     return 0
 
 
@@ -360,12 +378,11 @@ def _cmd_compare(args) -> int:
         raise UsageError("compare needs --pairs-file or --all-pairs")
     _echo(_COMPARE_SCHEMA, cfg)
 
-    before = parse_container_detailed(cfg["input"]).graphs
-    after = parse_container_detailed(cfg["pruned"]).graphs
     idx = cfg["graph_index"]
-    if not (0 <= idx < len(before) and 0 <= idx < len(after)):
+    g = _graph_at(cfg["input"], idx)[0]
+    gp = None if g is None else _graph_at(cfg["pruned"], idx)[0]
+    if g is None or gp is None:
         raise UsageError(f"graph_index {idx} outside the containers")
-    g, gp = before[idx], after[idx]
 
     if cfg["pairs_file"]:
         pairs = parse_pairs(cfg["pairs_file"])
@@ -376,7 +393,7 @@ def _cmd_compare(args) -> int:
     # Python ints and floats: str of a float is its repr
     rows = [uv + jj for uv, jj in zip(pairs.tolist(), values.tolist())]
     table = format_tsv(["u", "v", "jaccard_before", "jaccard_after"], rows)
-    Path(cfg["output"]).write_text(table, encoding="utf-8")
+    write_atomically(cfg["output"], [table])
     return 0
 
 
@@ -445,11 +462,14 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage-error: {exc}", file=sys.stderr)
         return 1
-    except (ContainerFormatError, GraphStructureError, FileNotFoundError, ValueError) as exc:
-        print(f"data-error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # anything else is a bug, not bad input
-        print(f"internal-error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # an OS error naming a file (missing, a directory, not permitted) is bad input too
+        if isinstance(exc, (ContainerFormatError, GraphStructureError, ValueError)) or (
+            isinstance(exc, OSError) and exc.filename is not None
+        ):
+            print(f"data-error: {exc}", file=sys.stderr)
+            return 2
+        print(f"internal-error: {type(exc).__name__}: {exc}", file=sys.stderr)  # a bug
         return 3
 
 

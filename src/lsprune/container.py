@@ -21,7 +21,9 @@ Readers and the writer stream: text is read ``_READ_CHUNK`` characters at a
 time and rows are converted or formatted a chunk at a time, so memory beyond
 the parsed graphs stays bounded by one block.  Lines break where
 ``str.splitlines`` breaks them; integer and float tokens take the syntax of
-Python's ``int()`` and ``float()``.
+Python's ``int()`` and ``float()``.  ``iter_container`` yields one block at a
+time and the writer takes any iterable of graphs, so a pipeline need hold
+only the graph at hand.  Every output is written atomically.
 
 Hash-family parameters use the same line-oriented style under an ``lsph 1``
 magic so a pruning run can be replayed bit-exactly from its sidecar.
@@ -29,6 +31,9 @@ magic so a pruning run can be replayed bit-exactly from its sidecar.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -237,33 +242,35 @@ class ParsedContainer:
     id_maps: list[dict[int, int] | None]  # original id -> dense index; None when already dense
 
 
-def parse_container_detailed(path) -> ParsedContainer:
-    """Parse a container keeping graph ids and any node-id remappings.
+def iter_container(path):
+    """The blocks of a container as ``(graph, graph_id, id_map)``, parsed one at a time.
 
-    The file is read in bounded pieces and each block's rows are converted a
-    chunk at a time, so memory beyond the result stays bounded by one block.
+    ``id_map`` maps original node ids to dense indices and is None when the
+    ids are already dense.  Each block is checked as it is reached, so no
+    block after the last one taken is read.  A caller that stops early
+    closes the iterator (``contextlib.closing``), which closes the file.
     """
-    graphs: list[Graph] = []
-    graph_ids: list[str] = []
-    id_maps: list[dict[int, int] | None] = []
+    blocks = 0
     with open(path, encoding="utf-8") as fh:
         scan = _Scanner(fh, GRAPH_MAGIC)
         while (item := scan.next()) is not None:
             line, tokens = item
             if tokens[0] != "G":
                 raise ContainerFormatError(f"expected a 'G' block header, got {tokens[0]!r}", line)
-            graph, gid, id_map = _parse_block(scan, tokens, line)
-            graphs.append(graph)
-            graph_ids.append(gid)
-            id_maps.append(id_map)
-    if not graphs:
+            yield _parse_block(scan, tokens, line)
+            blocks += 1
+    if not blocks:
         raise ContainerFormatError("container holds no graph blocks")
+
+
+def parse_container_detailed(path) -> ParsedContainer:
+    """Parse every block of a container keeping graph ids and any node-id remappings.
+
+    The file is read in bounded pieces and each block's rows are converted a
+    chunk at a time, so memory beyond the result stays bounded by one block.
+    """
+    graphs, graph_ids, id_maps = map(list, zip(*iter_container(path)))
     return ParsedContainer(graphs=graphs, graph_ids=graph_ids, id_maps=id_maps)
-
-
-def parse_container(path) -> list[Graph]:
-    """Parse every graph block of a container file."""
-    return parse_container_detailed(path).graphs
 
 
 def _parse_block(scan: _Scanner, header: list[str], header_line: int):
@@ -506,9 +513,8 @@ def _edge_rows(scan: _Scanner, count: int, dim: int, line: int, nodes: _NodeIds)
 
 def _container_pieces(graphs, graph_ids):
     """Container text in pieces of at most ``_ROW_CHUNK`` rows."""
-    graphs = list(graphs)
     if graph_ids is None:
-        graph_ids = [str(i) for i in range(len(graphs))]
+        graph_ids = map(str, itertools.count())
     yield GRAPH_MAGIC + "\n"
     for gid, g in zip(graph_ids, graphs):
         header = f"G {gid}"
@@ -542,10 +548,42 @@ def format_container(graphs, graph_ids=None) -> str:
     return "".join(_container_pieces(graphs, graph_ids))
 
 
+def write_atomically(path, pieces) -> None:
+    """Write the text ``pieces`` to ``path``, which changes only once every piece is written.
+
+    The text goes to a temporary sibling, created as a plain ``open`` creates
+    a file (mode ``0o666`` less the umask); it replaces ``path`` on success
+    and is removed on any failure.  A symlinked ``path`` is written through.
+    An existing ``path`` that is not a regular file (a device, a FIFO) is
+    written directly, never renamed over.  OS errors name ``path``.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
+        return
+    tmp = f"{target}.tmp{os.getpid()}"
+    made = False
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            made = True
+            fh.writelines(pieces)
+        os.replace(tmp, target)
+    except BaseException as exc:
+        if made:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        if isinstance(exc, OSError) and exc.errno and exc.filename in (None, tmp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise
+
+
 def write_container(graphs, path, graph_ids=None) -> None:
-    """Write the container text of ``graphs`` to ``path``, ``_ROW_CHUNK`` rows at a time."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_container_pieces(graphs, graph_ids))
+    """Write the container text of ``graphs``, any iterable, ``_ROW_CHUNK`` rows at a time.
+
+    Graph ids default to ``0, 1, ...``; the file is written atomically.
+    """
+    write_atomically(path, _container_pieces(graphs, graph_ids))
 
 
 def format_family(family: LshFamily) -> str:
@@ -567,7 +605,7 @@ def format_family(family: LshFamily) -> str:
 
 
 def write_family(family: LshFamily, path) -> None:
-    Path(path).write_text(format_family(family), encoding="utf-8")
+    write_atomically(path, [format_family(family)])
 
 
 def _function_line(scan: _Scanner, tag: str, i: int, k: int, line: int):

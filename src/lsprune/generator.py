@@ -169,11 +169,27 @@ def generate_sample(
     )
 
 
-def generate_dataset(cfg: GeneratorConfig) -> list[tuple[Graph, int]]:
-    """Generate the full dataset as ``(graph, label)`` pairs in sample order."""
-    templates = [generate_class_template(cfg, c) for c in range(cfg.num_classes)]
-    out = []
-    for s in range(cfg.num_samples):
-        sample = generate_sample(cfg, templates, s)
-        out.append((sample.graph, sample.label))
-    return out
+class _Dataset:
+    """The ``(graph, label)`` pairs of a dataset, generated one at a time on each iteration.
+
+    Only the sample at hand is held; ``len`` counts the samples without
+    generating them.
+    """
+
+    def __init__(self, cfg: GeneratorConfig):
+        self._cfg = cfg
+
+    def __len__(self) -> int:
+        return self._cfg.num_samples
+
+    def __iter__(self):
+        cfg = self._cfg
+        templates = [generate_class_template(cfg, c) for c in range(cfg.num_classes)]
+        for s in range(cfg.num_samples):
+            sample = generate_sample(cfg, templates, s)
+            yield sample.graph, sample.label
+
+
+def generate_dataset(cfg: GeneratorConfig) -> _Dataset:
+    """The dataset as ``(graph, label)`` pairs in sample order, generated lazily."""
+    return _Dataset(cfg)

@@ -1,16 +1,17 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lsprune
-from lsprune import parse_container, write_container
+from lsprune import write_container
 from lsprune.cli import main
 
-from util import random_graph
+from util import random_graph, read_graphs
 
 
 @pytest.fixture()
@@ -54,8 +55,8 @@ def test_prune_random_p1_keeps_everything(tmp_path, sample_container, capsys):
         capsys,
     )
     assert code == 0
-    before = parse_container(sample_container)
-    after = parse_container(out)
+    before = read_graphs(sample_container)
+    after = read_graphs(out)
     for b, a in zip(before, after):
         assert np.array_equal(b.edges, a.edges)
         assert np.array_equal(b.edge_attrs, a.edge_attrs)
@@ -214,7 +215,7 @@ def test_generate_round_robin_blocks(tmp_path, capsys):
     )
     assert code == 0
     assert "num_samples = 10" in stdout
-    graphs = parse_container(out)
+    graphs = read_graphs(out)
     assert len(graphs) == 10
     assert [g.graph_label for g in graphs] == [0, 1, 2, 3, 4] * 2
 
@@ -574,3 +575,236 @@ def test_compare_pair_outside_the_graph_is_data_error(tmp_path, capsys, pair, me
     )
     assert code == 2
     assert err == f"data-error: {message}\n"
+
+
+# ------------------------------------------------ read rule: stats and compare stop at their block
+
+@pytest.fixture()
+def five_blocks(tmp_path):
+    rng = np.random.default_rng(11)
+    graphs = [random_graph(rng, 9, 0.5, node_dim=2, edge_dim=1) for _ in range(5)]
+    path = tmp_path / "five.lspg"
+    write_container(graphs, path)
+    return path
+
+
+def _block_starts(text: str) -> list[int]:
+    """Character offsets of the 'G' header lines of a container text."""
+    starts, pos = [], 0
+    for line in text.splitlines(keepends=True):
+        if line.startswith("G "):
+            starts.append(pos)
+        pos += len(line)
+    return starts
+
+
+def _stats(path, out, index):
+    return ["stats", "--input", str(path), "--output", str(out), "--graph-index", str(index),
+            "--depths", "1,2", "--fractions", "0.5,1.0"]
+
+
+def _compare(path, out, index, pruned=None):
+    return ["compare", "--input", str(path), "--pruned", str(pruned or path), "--output",
+            str(out), "--graph-index", str(index), "--all-pairs"]
+
+
+@pytest.mark.parametrize("command", [_stats, _compare])
+@pytest.mark.parametrize("damage", ["garbage", "truncated"])
+def test_block_after_the_chosen_one_is_not_read(tmp_path, five_blocks, capsys, command, damage):
+    text = five_blocks.read_text()
+    starts = _block_starts(text)
+    if damage == "garbage":
+        text = text[: starts[2]] + "G 2\nthis is not a block\n" + text[starts[3]:]
+    else:  # cut in the middle of block 2's edge lines
+        text = text[: (starts[2] + starts[3]) // 2]
+    damaged = tmp_path / "damaged.lspg"
+    damaged.write_text(text)
+    outs = []
+    for path in (five_blocks, damaged):
+        out = tmp_path / f"{path.stem}.tsv"
+        code, _, err = run(command(path, out, 1), capsys)
+        assert code == 0, err
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    code, _, err = run(command(damaged, tmp_path / "x.tsv", 2), capsys)  # the damaged block
+    assert code == 2 and err.startswith("data-error: line ")
+
+
+@pytest.mark.parametrize("command", [_stats, _compare])
+def test_malformed_block_before_the_chosen_one_is_data_error(tmp_path, five_blocks, capsys,
+                                                             command):
+    lines = five_blocks.read_text().split("\n")
+    lineno = [i for i, text in enumerate(lines, 1) if text.startswith("edge ")][1]
+    lines[lineno - 1] = "edge 0 99 1.0"  # in block 0
+    five_blocks.write_text("\n".join(lines))
+    code, _, err = run(command(five_blocks, tmp_path / "x.tsv", 3), capsys)
+    assert code == 2
+    assert err == (f"data-error: line {lineno}: out-of-range index: edge endpoint 99 is not a "
+                   "declared node\n")
+
+
+@pytest.mark.parametrize("command,reads", [(_stats, 1), (_compare, 2)])
+@pytest.mark.parametrize("index", [0, 2, 4])
+def test_blocks_parsed_are_index_plus_one(tmp_path, five_blocks, capsys, monkeypatch, command,
+                                          reads, index):
+    import lsprune.container as container
+
+    calls = []
+    real = container._parse_block
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(container, "_parse_block", counting)
+    code, _, err = run(command(five_blocks, tmp_path / "x.tsv", index), capsys)
+    assert code == 0, err
+    assert len(calls) == reads * (index + 1)
+
+
+def test_graph_index_past_the_end_keeps_its_messages(tmp_path, five_blocks, capsys):
+    code, _, err = run(_stats(five_blocks, tmp_path / "x.tsv", 5), capsys)
+    assert code == 1
+    assert err == "usage-error: graph_index 5 outside container of 5\n"
+    code, _, err = run(_compare(five_blocks, tmp_path / "x.tsv", 7), capsys)
+    assert code == 1
+    assert err == "usage-error: graph_index 7 outside the containers\n"
+    shorter = tmp_path / "shorter.lspg"  # the pruned container ends first
+    write_container(read_graphs(five_blocks)[:2], shorter)
+    code, _, err = run(_compare(five_blocks, tmp_path / "x.tsv", 3, pruned=shorter), capsys)
+    assert code == 1
+    assert err == "usage-error: graph_index 3 outside the containers\n"
+    assert not (tmp_path / "x.tsv").exists()
+
+
+@pytest.mark.parametrize("command", [_stats, _compare])
+def test_negative_graph_index_is_usage_error_before_reading(tmp_path, capsys, command):
+    absent = tmp_path / "absent.lspg"  # a read would be a data error
+    code, _, err = run(command(absent, tmp_path / "x.tsv", -1), capsys)
+    assert code == 1
+    assert err == "usage-error: graph_index must be non-negative, got -1\n"
+
+
+# ------------------------------------------------ streaming generate and atomic outputs
+
+_FIXED_SIZE = ["--num-classes", "1", "--min-nodes", "20", "--max-nodes", "20",
+               "--node-removal-probability", "0.0", "--seed", "5"]
+
+
+def test_generate_memory_is_bounded_by_one_sample(tmp_path, capsys):
+    # peak minus what is retained: the same for 1 and 40 samples of one size
+    def transient(samples, out):
+        tracemalloc.start()
+        try:
+            code = main(["generate", "--output", str(out), "--num-samples", str(samples)]
+                        + _FIXED_SIZE)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        return peak - retained
+
+    one, many = tmp_path / "one.lspg", tmp_path / "many.lspg"
+    extra = transient(40, many) - transient(1, one)
+    assert len(read_graphs(many)) == 40
+    assert extra < one.stat().st_size / 4  # one sample's text
+
+
+def _failing_at_sample(monkeypatch, at):
+    import lsprune.generator as generator
+
+    real = generator.generate_sample
+
+    def faulty(cfg, templates, index):
+        if index == at:
+            raise RuntimeError(f"sample {index} failed")
+        return real(cfg, templates, index)
+
+    monkeypatch.setattr(generator, "generate_sample", faulty)
+
+
+def test_generate_failure_leaves_no_output(tmp_path, capsys, monkeypatch):
+    _failing_at_sample(monkeypatch, 3)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, _, err = run(["generate", "--output", str(out_dir / "d.lspg"), "--num-samples", "5"]
+                       + _FIXED_SIZE, capsys)
+    assert code == 3 and "sample 3 failed" in err
+    assert list(out_dir.iterdir()) == []  # no container and no temporary file
+
+
+def test_generate_failure_leaves_an_existing_output_as_it_was(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "d.lspg"
+    code, _, _ = run(["generate", "--output", str(out), "--num-samples", "2"] + _FIXED_SIZE,
+                     capsys)
+    assert code == 0
+    before = out.read_bytes()
+    _failing_at_sample(monkeypatch, 3)
+    code, _, _ = run(["generate", "--output", str(out), "--num-samples", "5"] + _FIXED_SIZE,
+                     capsys)
+    assert code == 3
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.lspg"]
+
+
+def test_outputs_to_dev_null(tmp_path, sample_container, capsys):
+    for argv in (["generate", "--num-samples", "3"] + _FIXED_SIZE,
+                 ["stats", "--input", str(sample_container), "--depths", "1",
+                  "--fractions", "1.0"]):
+        code, _, err = run(argv + ["--output", os.devnull], capsys)
+        assert code == 0, err
+    assert Path(os.devnull).is_char_device()
+
+
+def test_outputs_get_the_mode_a_plain_open_gives(tmp_path, sample_container, capsys):
+    old = os.umask(0o037)
+    try:
+        out = tmp_path / "o.lspg"
+        code, _, _ = run(["prune", "--input", str(sample_container), "--output", str(out),
+                          "--method", "lsp-t"], capsys)
+    finally:
+        os.umask(old)
+    assert code == 0
+    for path in (out, Path(f"{out}.report.tsv"), Path(f"{out}.family")):
+        assert path.stat().st_mode & 0o777 == 0o666 & ~0o037
+
+
+def test_symlinked_output_is_written_through(tmp_path, sample_container, capsys):
+    real = tmp_path / "real.tsv"
+    real.write_text("stale\n")
+    link = tmp_path / "link.tsv"
+    link.symlink_to(real)
+    code, _, _ = run(["stats", "--input", str(sample_container), "--output", str(link),
+                      "--depths", "1", "--fractions", "1.0"], capsys)
+    assert code == 0
+    assert link.is_symlink()
+    assert real.read_text().startswith("kept_fraction\tdepth\tvariance\n")
+
+
+# ------------------------------------------------ OS errors are data errors
+
+def test_input_that_is_a_directory_is_data_error(tmp_path, capsys):
+    code, _, err = run(["stats", "--input", str(tmp_path), "--output",
+                        str(tmp_path / "x.tsv")], capsys)
+    assert code == 2
+    assert err.startswith("data-error: [Errno 21] Is a directory")
+
+
+def test_config_that_is_a_directory_is_data_error(tmp_path, sample_container, capsys):
+    code, _, err = run(["stats", "--config", str(tmp_path), "--input", str(sample_container),
+                        "--output", str(tmp_path / "x.tsv")], capsys)
+    assert code == 2
+    assert err.startswith("data-error: [Errno 21] Is a directory")
+
+
+@pytest.mark.parametrize("parent,reason", [("missing", "No such file or directory"),
+                                           ("a-file", "Not a directory")])
+def test_output_under_a_bad_parent_is_data_error_naming_it(tmp_path, sample_container, capsys,
+                                                           parent, reason):
+    (tmp_path / "a-file").write_text("")
+    out = tmp_path / parent / "x.tsv"
+    code, _, err = run(["stats", "--input", str(sample_container), "--output", str(out),
+                        "--depths", "1", "--fractions", "1.0"], capsys)
+    assert code == 2
+    assert err == f"data-error: [Errno {2 if parent == 'missing' else 20}] {reason}: '{out}'\n"

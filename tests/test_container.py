@@ -1,4 +1,6 @@
 import tracemalloc
+from contextlib import closing
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -12,8 +14,8 @@ from lsprune import (
     LshFamily,
     LshFamilyConfig,
     generate_dataset,
+    iter_container,
     parse_config_file,
-    parse_container,
     parse_container_detailed,
     parse_family,
     write_container,
@@ -21,19 +23,19 @@ from lsprune import (
 )
 from lsprune.container import format_config, format_container, format_tsv
 
-from util import random_graph
+from util import random_graph, read_graphs
 
 
 def roundtrip(graphs, tmp_path, name="g.lspg"):
     path = tmp_path / name
     write_container(graphs, path)
-    return parse_container(path), path
+    return read_graphs(path), path
 
 
 def test_minimal_singleton_graph(tmp_path):
     path = tmp_path / "min.lspg"
     path.write_text("lspg 1\nG 0\nN 1 0\nM 0 0\nnode 0\n")
-    (g,) = parse_container(path)
+    (g,) = read_graphs(path)
     assert g.num_nodes == 1
     assert g.num_edges == 0
     assert g.node_attrs is None and g.edge_attrs is None
@@ -43,14 +45,14 @@ def test_out_of_range_edge_names_line(tmp_path):
     path = tmp_path / "bad.lspg"
     path.write_text("lspg 1\nG 0\nN 3 0\nM 1 0\nnode 0\nnode 1\nnode 2\nedge 0 5\n")
     with pytest.raises(ContainerFormatError, match="line 8.*out-of-range"):
-        parse_container(path)
+        read_graphs(path)
 
 
 def test_magic_mismatch(tmp_path):
     path = tmp_path / "bad.lspg"
     path.write_text("lspg 2\n")
     with pytest.raises(ContainerFormatError, match="magic"):
-        parse_container(path)
+        read_graphs(path)
 
 
 def test_duplicate_edge_diagnostic(tmp_path):
@@ -60,25 +62,25 @@ def test_duplicate_edge_diagnostic(tmp_path):
     )
     with pytest.warns(UserWarning, match="undirected"):
         with pytest.raises(ContainerFormatError, match="line 8.*duplicate edge"):
-            parse_container(path)
+            read_graphs(path)
 
 
 def test_count_mismatch_diagnostics(tmp_path):
     path = tmp_path / "short.lspg"
     path.write_text("lspg 1\nG 0\nN 2 0\nM 1 0\nnode 0\nedge 0 1\n")
     with pytest.raises(ContainerFormatError, match="node lines"):
-        parse_container(path)
+        read_graphs(path)
 
     path.write_text("lspg 1\nG 0\nN 2 1\nM 0 0\nnode 0 1.0 2.0\nnode 1 3.0\n")
     with pytest.raises(ContainerFormatError, match="line 5.*count mismatch"):
-        parse_container(path)
+        read_graphs(path)
 
 
 def test_self_loop_edge_line_rejected(tmp_path):
     path = tmp_path / "loop.lspg"
     path.write_text("lspg 1\nG 0\nN 2 0\nM 1 0\nnode 0\nnode 1\nedge 1 1\n")
     with pytest.raises(ContainerFormatError, match="loop"):
-        parse_container(path)
+        read_graphs(path)
 
 
 def test_nodelabels_all_or_none(tmp_path):
@@ -87,7 +89,7 @@ def test_nodelabels_all_or_none(tmp_path):
         "lspg 1\nG 0\nN 2 0\nM 0 0\nnode 0\nnode 1\nnodelabel 0 3\n"
     )
     with pytest.raises(ContainerFormatError, match="all nodes or none"):
-        parse_container(path)
+        read_graphs(path)
 
 
 def test_comments_and_blanks_skipped(tmp_path):
@@ -96,7 +98,7 @@ def test_comments_and_blanks_skipped(tmp_path):
         "lspg 1\n# a comment\n\nG 7 label=2\nN 2 0\nM 1 0\n"
         "node 0\n# inner\nnode 1\nedge 0 1\nloop 1\n"
     )
-    (g,) = parse_container(path)
+    (g,) = read_graphs(path)
     assert g.graph_label == 2
     assert g.self_loops == frozenset({1})
 
@@ -206,7 +208,7 @@ def test_duplicate_node_id_rejected(tmp_path):
     path = tmp_path / "dupn.lspg"
     path.write_text("lspg 1\nG 0\nN 2 0\nM 0 0\nnode 0\nnode 0\n")
     with pytest.raises(ContainerFormatError, match="duplicate node"):
-        parse_container(path)
+        read_graphs(path)
 
 
 def test_multi_graph_container(tmp_path):
@@ -220,7 +222,7 @@ def test_empty_container_rejected(tmp_path):
     path = tmp_path / "empty.lspg"
     path.write_text("lspg 1\n")
     with pytest.raises(ContainerFormatError, match="no graph"):
-        parse_container(path)
+        read_graphs(path)
 
 
 @pytest.mark.parametrize("variant", ["lsp_t", "lsp_p"])
@@ -268,3 +270,47 @@ def test_tsv_has_header_and_tabs():
     lines = text.splitlines()
     assert lines[0] == "a\tb"
     assert lines[1] == "1\t2"
+
+
+def test_iter_container_parses_one_block_per_step(tmp_path):
+    rng = np.random.default_rng(12)
+    graphs = [random_graph(rng, 6, 0.5, node_dim=1) for _ in range(3)]
+    path = tmp_path / "three.lspg"
+    write_container(graphs, path, graph_ids=["a", "b", "c"])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("G d\nnot a block\n")  # reached only by a caller that goes on
+    calls = []
+    real = container._parse_block
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    with mock.patch.object(container, "_parse_block", counting):
+        with closing(iter_container(path)) as blocks:
+            first, gid, id_map = next(blocks)
+            assert (gid, id_map, len(calls)) == ("a", None, 1)
+            assert np.array_equal(first.edges, graphs[0].edges)
+            assert [gid for _g, gid, _m in islice(blocks, 2)] == ["b", "c"]
+            assert len(calls) == 3
+            with pytest.raises(ContainerFormatError, match="line 49: expected 'N"):
+                next(blocks)
+
+
+def test_write_atomically_keeps_the_old_file_on_failure(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+
+    def pieces():
+        yield "new\n"
+        raise RuntimeError("half way")
+
+    with pytest.raises(RuntimeError, match="half way"):
+        container.write_atomically(path, pieces())
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    container.write_atomically(path, ["new\n"])
+    assert path.read_text() == "new\n"
+    with pytest.raises(FileNotFoundError) as info:
+        container.write_atomically(tmp_path / "missing" / "out.txt", ["x"])
+    assert info.value.filename == str(tmp_path / "missing" / "out.txt")

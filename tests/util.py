@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lsprune import Graph
+from lsprune import Graph, parse_container_detailed
 from lsprune.container import (
     FAMILY_MAGIC,
     GRAPH_MAGIC,
@@ -20,6 +20,11 @@ from lsprune.container import (
     ParsedContainer,
 )
 from lsprune.hashing import LSP_T, LshFamily, LshFamilyConfig
+
+
+def read_graphs(path) -> list[Graph]:
+    """Every graph of a container file, in block order."""
+    return parse_container_detailed(path).graphs
 
 
 def random_graph(
