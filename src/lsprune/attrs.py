@@ -40,20 +40,16 @@ class EdgeAttrTable:
     """Constructed edge-attribute matrix, one row per edge.
 
     ``rows[i]`` is the attribute of edge ``i`` oriented with the smaller
-    endpoint's block first.  ``node_dim`` and ``edge_feat_dim`` record the
-    block layout so the reversed orientation can be derived for
-    ``center_first`` queries.
+    endpoint's block first.  ``node_dim`` is the width of each endpoint
+    block (0 for ``raw_edge``), so the reversed orientation can be derived
+    for ``center_first`` queries.
     """
 
     rows: np.ndarray
-    mode: str
     endpoint_order: str
     node_dim: int
-    edge_feat_dim: int
 
     def __post_init__(self) -> None:
-        if self.mode not in CONSTRUCTION_MODES:
-            raise ValueError(f"unknown construction mode {self.mode!r}")
         if self.endpoint_order not in ENDPOINT_ORDERS:
             raise ValueError(f"unknown endpoint order {self.endpoint_order!r}")
         rows = np.asarray(self.rows, dtype=np.float64)
@@ -67,25 +63,21 @@ class EdgeAttrTable:
     def num_edges(self) -> int:
         return self.rows.shape[0]
 
-    def swapped_rows(self) -> np.ndarray:
-        """Rows with the two endpoint blocks exchanged (larger endpoint first)."""
-        if self.mode == RAW_EDGE or self.node_dim == 0:
-            return self.rows
-        q = self.node_dim
-        return np.concatenate(
-            [self.rows[:, -q:], self.rows[:, q:-q], self.rows[:, :q]], axis=1
-        )
-
     def oriented_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Attribute rows as seen from each endpoint.
 
         Returns ``(from_smaller, from_larger)``: the vector hashed when the
-        smaller / larger endpoint of the edge is the querying node.  Under
-        ``canonical`` order both views are the same array.
+        smaller / larger endpoint of the edge is the querying node.  The
+        larger endpoint sees the two endpoint blocks exchanged; under
+        ``canonical`` order, or without endpoint blocks, both views are the
+        same array.
         """
-        if self.endpoint_order == CANONICAL:
+        q = self.node_dim
+        if self.endpoint_order == CANONICAL or q == 0:
             return self.rows, self.rows
-        return self.rows, self.swapped_rows()
+        return self.rows, np.concatenate(
+            [self.rows[:, -q:], self.rows[:, q:-q], self.rows[:, :q]], axis=1
+        )
 
 
 def _zscore_columns(mat: np.ndarray) -> np.ndarray:
@@ -136,21 +128,12 @@ def build_edge_attrs(
     v = g.edges[:, 1]
     if mode == NODE_ONLY:
         rows = np.concatenate([node_attrs[u], node_attrs[v]], axis=1)
-        q, d_e = node_attrs.shape[1], 0
     elif mode == NODE_AND_EDGE:
         rows = np.concatenate([node_attrs[u], edge_attrs, node_attrs[v]], axis=1)
-        q, d_e = node_attrs.shape[1], edge_attrs.shape[1]
     else:
         rows = np.array(edge_attrs, dtype=np.float64)
-        q, d_e = 0, edge_attrs.shape[1]
-
-    return EdgeAttrTable(
-        rows=rows,
-        mode=mode,
-        endpoint_order=endpoint_order,
-        node_dim=q,
-        edge_feat_dim=d_e,
-    )
+    q = 0 if mode == RAW_EDGE else node_attrs.shape[1]
+    return EdgeAttrTable(rows=rows, endpoint_order=endpoint_order, node_dim=q)
 
 
 def edge_attr_dim(g: Graph, mode: str) -> int:

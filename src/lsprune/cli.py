@@ -148,9 +148,9 @@ def _cmd_prune(args) -> int:
 
     # method-specific parameters must not leak across methods
     if method == "random":
-        for key in ("k", "m", "l", "family"):
+        for key in ("k", "m", "l", "family", "attr_mode", "endpoint_order", "zscore"):
             if key in explicit:
-                raise UsageError(f"--{key} only applies to lsp-t/lsp-p")
+                raise UsageError(f"--{key.replace('_', '-')} only applies to lsp-t/lsp-p")
     else:
         if "p" in explicit:
             raise UsageError("--p only applies to method random")

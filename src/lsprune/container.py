@@ -55,10 +55,6 @@ class ContainerFormatError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 _READ_CHUNK = 1 << 18  # characters read at once; bounds the text a reader holds
 _TOKEN_CHUNK = 4096  # tokens converted to numbers at once; bounds the token lists held
 _ROW_CHUNK = 1024  # rows the writer turns into Python objects and text at once
@@ -153,14 +149,6 @@ def _want_floats(tokens: list[str], want: int, what: str, line: int) -> list[flo
         raise ContainerFormatError(f"bad {what} value on this line", line) from None
 
 
-def _table(rows: list[list[str]], tag: str, width: int) -> np.ndarray:
-    """Token rows as an object array; ValueError unless each is ``tag`` and ``width`` tokens."""
-    table = np.array(rows, dtype=object)  # rows of unequal length raise ValueError
-    if table.ndim != 2 or table.shape[1] != width or not (table[:, 0] == tag).all():
-        raise ValueError(f"not a clean block of {tag!r} rows")
-    return table
-
-
 def _ints(values: list[int]) -> np.ndarray:
     """``values`` as int64, or as Python ints when one lies beyond int64."""
     try:
@@ -186,15 +174,6 @@ def _first_repeat(keys: np.ndarray) -> int | None:
     ranked = keys[order]
     repeats = order[1:][ranked[1:] == ranked[:-1]]
     return int(repeats.min()) if repeats.size else None
-
-
-def _line_at(chunks, row: int) -> int:
-    """Line number of ``row``, given the line numbers of each chunk of rows."""
-    for lines in chunks:
-        if row < len(lines):
-            return lines[row]
-        row -= len(lines)
-    raise IndexError(row)
 
 
 class _NodeIds:
@@ -358,157 +337,138 @@ def _count_line(scan: _Scanner, tag: str, names: tuple[str, str], after: str, li
     return line, count, dim
 
 
-def _chunks(scan: _Scanner, count: int, width: int, mismatch: str, line: int, lines: list,
-            check_repeats):
-    """A block's ``count`` rows of ``width`` tokens, ``_TOKEN_CHUNK`` tokens at a time.
+def _rows(scan: _Scanner, tag: str, count: int, keys: int, dim: int, line: int,
+          cast, check, repeats):
+    """A block's ``count`` lines ``<tag> <key>... <value>...``: keys, values, last line number.
 
-    Yields (offset of the first row, line numbers, token rows) and appends
-    the line numbers to ``lines``.  Running out of lines raises ``mismatch``
-    at the last line read, once ``check_repeats`` has run over the rows read.
+    Rows are converted ``_TOKEN_CHUNK`` tokens at a time with one cast per
+    column block: ``cast(table, first_row)`` turns a chunk's token table into
+    its ``(rows, keys)`` integer keys, raising ValueError where a key fails a
+    check.  A chunk that does not convert cleanly is read line by line:
+    ``check(line, tokens, row)`` returns a line's key or raises the error a
+    line-by-line reader raises there.  ``repeats(keys, line_of)`` checks the
+    keys of every row read, before any error after them is raised.
     """
+    width = 1 + keys + dim
+    mismatch = f"count mismatch: expected {count} {tag} lines"
+    key_chunks = [np.empty((0, keys), np.int64)]
+    value_chunks = [np.empty((0, dim))]
+    lines: list = []  # the line numbers of each chunk
+    pending: list = []  # keys of the rows read so far in a line-by-line chunk
+
+    def line_of(row: int) -> int:
+        return next(itertools.islice(itertools.chain.from_iterable(lines), row, None))
+
     got = 0
-    while got < count:
-        chunk_lines, rows = scan.take(min(count - got, max(1, _TOKEN_CHUNK // width)))
-        if not rows:
-            check_repeats()
-            raise ContainerFormatError(mismatch, line)
-        lines.append(chunk_lines)
-        yield got, chunk_lines, rows
-        got += len(rows)
-        line = chunk_lines[-1]
-
-
-def _stack(chunks: list[np.ndarray], empty_shape: tuple[int, ...]) -> np.ndarray:
-    return np.concatenate(chunks) if chunks else np.empty(empty_shape, np.int64)
+    try:
+        while got < count:
+            chunk_lines, rows = scan.take(min(count - got, max(1, _TOKEN_CHUNK // width)))
+            if not rows:
+                raise ContainerFormatError(mismatch, line)
+            lines.append(chunk_lines)
+            try:
+                table = np.array(rows, dtype=object)  # rows of unequal length raise ValueError
+                if table.ndim != 2 or table.shape[1] != width or not (table[:, 0] == tag).all():
+                    raise ValueError(f"not a clean block of {tag!r} rows")
+                values = table[:, 1 + keys :].astype(np.float64)
+                found = cast(table, got)
+            except (ValueError, OverflowError):
+                values = []
+                for row, (ln, tokens) in enumerate(zip(chunk_lines, rows), got):
+                    if tokens[0] != tag:
+                        raise ContainerFormatError(mismatch, ln)
+                    pending.append(check(ln, tokens, row))  # a repeated key is reported first
+                    values.append(_want_floats(tokens[1 + keys :], dim, f"{tag} attribute", ln))
+                found, pending = _ints(pending).reshape(-1, keys), []
+                values = np.array(values, dtype=np.float64)
+            key_chunks.append(found)
+            value_chunks.append(values)
+            got += len(rows)
+            line = chunk_lines[-1]
+    except ContainerFormatError:
+        repeats(np.concatenate(key_chunks + [_ints(pending).reshape(-1, keys)]), line_of)
+        raise
+    every = np.concatenate(key_chunks)
+    repeats(every, line_of)
+    return every, np.concatenate(value_chunks), line
 
 
 def _node_rows(scan: _Scanner, count: int, dim: int, line: int):
     """A block's ``count`` node lines: ids in file order, attribute rows, last line number.
 
-    Each chunk is converted with one cast per column block; a chunk that
-    does not convert cleanly is checked line by line, and the first failing
-    line raises the same error a line-by-line reader raises.  Duplicate ids
-    are checked over the whole block before any error after them.
+    Duplicate ids are checked over the whole block before any error after them.
     """
-    mismatch = f"count mismatch: expected {count} node lines"
-    ids: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    lines: list = []
 
-    def check_repeats() -> np.ndarray:
-        every = _stack(ids, (0,))
-        row = _first_repeat(every)
+    def cast(table, _first):
+        ids = table[:, 1:2].astype(np.int64)
+        if (ids < 0).any():
+            raise ValueError("negative node id")
+        return ids
+
+    def check(line, tokens, _row):
+        if len(tokens) < 2:
+            raise ContainerFormatError("node line needs an id", line)
+        nid = _want_int(tokens[1], "node id", line)
+        if nid < 0:
+            raise ContainerFormatError(f"node id {nid} is negative", line)
+        return nid
+
+    def repeats(ids, line_of):
+        row = _first_repeat(ids[:, 0])
         if row is not None:
-            raise ContainerFormatError(f"duplicate node id {every[row]}", _line_at(lines, row))
-        return every
+            raise ContainerFormatError(f"duplicate node id {ids[row, 0]}", line_of(row))
 
-    def one_by_one(chunk_lines, rows):
-        nids, vals = [], []
-        try:
-            for ln, tokens in zip(chunk_lines, rows):
-                if tokens[0] != "node":
-                    raise ContainerFormatError(mismatch, ln)
-                if len(tokens) < 2:
-                    raise ContainerFormatError("node line needs an id", ln)
-                nid = _want_int(tokens[1], "node id", ln)
-                if nid < 0:
-                    raise ContainerFormatError(f"node id {nid} is negative", ln)
-                nids.append(nid)
-                vals.append(_want_floats(tokens[2:], dim, "node attribute", ln))
-        except ContainerFormatError:
-            ids.append(_ints(nids))  # a repeated id before the failure is reported first
-            check_repeats()
-            raise
-        return _ints(nids), np.array(vals, dtype=np.float64)
-
-    for _, chunk_lines, rows in _chunks(scan, count, 2 + dim, mismatch, line, lines,
-                                        check_repeats):
-        try:
-            table = _table(rows, "node", 2 + dim)
-            nid = table[:, 1].astype(np.int64)
-            vals = table[:, 2:].astype(np.float64)
-            if (nid < 0).any():
-                raise ValueError("negative node id")
-        except (ValueError, OverflowError):
-            nid, vals = one_by_one(chunk_lines, rows)
-        ids.append(nid)
-        values.append(vals)
-    every = check_repeats()
-    node_values = np.concatenate(values) if values else np.empty((0, dim))
-    return every, node_values, lines[-1][-1] if lines else line
+    ids, values, line = _rows(scan, "node", count, 1, dim, line, cast, check, repeats)
+    return ids[:, 0], values, line
 
 
 def _edge_rows(scan: _Scanner, count: int, dim: int, line: int, nodes: _NodeIds):
     """A block's ``count`` edge lines: dense endpoint pairs and attribute rows.
 
-    Converted a chunk at a time like :func:`_node_rows`.  Undeclared
-    endpoints and self-loops fail their chunk; duplicate edges and the first
-    reversed edge (a warning) are checked over the whole block before any
-    error after them.
+    Undeclared endpoints and self-loops fail their line; duplicate edges and
+    the first reversed edge (a warning) are checked over the whole block
+    before any error after them.
     """
-    mismatch = f"count mismatch: expected {count} edge lines"
-    pairs: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    lines: list = []
     spelled: dict[int, tuple[str, str]] = {}  # row -> endpoint tokens that str() would not give
     flipped: list[int] = []  # the first row that lists the larger id first
 
-    def check_repeats() -> np.ndarray:
-        every = _stack(pairs, (0, 2))
-        lo, hi = every.min(axis=1), every.max(axis=1)
-        row = _first_repeat(lo * max(nodes.count, 1) + hi)
+    def cast(table, first):
+        ends = table[:, 1:3].astype(np.int64)
+        uv = nodes.find(ends)
+        if uv is None or (uv[:, 0] == uv[:, 1]).any() or not _plain_ints(table[:, 1:3], ends):
+            raise ValueError("undeclared, self-loop or unusually spelled endpoint")
+        if not flipped and (ends[:, 0] > ends[:, 1]).any():
+            flipped.append(first + int(np.argmax(ends[:, 0] > ends[:, 1])))
+        return uv
+
+    def check(line, tokens, row):
+        if len(tokens) < 3:
+            raise ContainerFormatError("edge line needs two endpoints", line)
+        a, u = _resolve(tokens[1], "edge endpoint", line, nodes)
+        b, v = _resolve(tokens[2], "edge endpoint", line, nodes)
+        if u == v:
+            raise ContainerFormatError(
+                f"edge ({tokens[1]}, {tokens[2]}) is a self-loop; use a 'loop' line", line
+            )
+        if a > b and not flipped:
+            flipped.append(row)
+        if (str(a), str(b)) != (tokens[1], tokens[2]):
+            spelled[row] = (tokens[1], tokens[2])
+        return u, v
+
+    def repeats(pairs, line_of):
+        row = _first_repeat(pairs.min(axis=1) * max(nodes.count, 1) + pairs.max(axis=1))
         if flipped and (row is None or flipped[0] <= row):
             warnings.warn(
-                f"line {_line_at(lines, flipped[0])}: directed edge order treated as undirected",
+                f"line {line_of(flipped[0])}: directed edge order treated as undirected",
                 stacklevel=5,
             )
         if row is not None:
-            u, v = spelled.get(row) or nodes.original(every[row])
-            raise ContainerFormatError(f"duplicate edge ({u}, {v})", _line_at(lines, row))
-        return every
+            u, v = spelled.get(row) or nodes.original(pairs[row])
+            raise ContainerFormatError(f"duplicate edge ({u}, {v})", line_of(row))
 
-    def one_by_one(chunk_lines, rows, offset):
-        uv, vals = [], []
-        try:
-            for i, (ln, tokens) in enumerate(zip(chunk_lines, rows), offset):
-                if tokens[0] != "edge":
-                    raise ContainerFormatError(mismatch, ln)
-                if len(tokens) < 3:
-                    raise ContainerFormatError("edge line needs two endpoints", ln)
-                a, u = _resolve(tokens[1], "edge endpoint", ln, nodes)
-                b, v = _resolve(tokens[2], "edge endpoint", ln, nodes)
-                if u == v:
-                    raise ContainerFormatError(
-                        f"edge ({tokens[1]}, {tokens[2]}) is a self-loop; use a 'loop' line", ln
-                    )
-                if a > b and not flipped:
-                    flipped.append(i)
-                if (str(a), str(b)) != (tokens[1], tokens[2]):
-                    spelled[i] = (tokens[1], tokens[2])
-                uv.append((u, v))
-                vals.append(_want_floats(tokens[3:], dim, "edge attribute", ln))
-        except ContainerFormatError:
-            pairs.append(np.array(uv, dtype=np.int64).reshape(-1, 2))
-            check_repeats()  # the reversed-edge warning and a repeated edge come first
-            raise
-        return np.array(uv, dtype=np.int64), np.array(vals, dtype=np.float64)
-
-    for offset, chunk_lines, rows in _chunks(scan, count, 3 + dim, mismatch, line, lines,
-                                             check_repeats):
-        try:
-            table = _table(rows, "edge", 3 + dim)
-            ends = table[:, 1:3].astype(np.int64)
-            uv = nodes.find(ends)
-            if uv is None or (uv[:, 0] == uv[:, 1]).any() or not _plain_ints(table[:, 1:3], ends):
-                raise ValueError("undeclared, self-loop or unusually spelled endpoint")
-            vals = table[:, 3:].astype(np.float64)
-            if not flipped and (ends[:, 0] > ends[:, 1]).any():
-                flipped.append(offset + int(np.argmax(ends[:, 0] > ends[:, 1])))
-        except (ValueError, OverflowError):
-            uv, vals = one_by_one(chunk_lines, rows, offset)
-        pairs.append(uv)
-        values.append(vals)
-    return check_repeats(), np.concatenate(values) if values else np.empty((0, dim))
+    pairs, values, _ = _rows(scan, "edge", count, 2, dim, line, cast, check, repeats)
+    return pairs, values
 
 
 def _container_pieces(graphs, graph_ids):
@@ -589,17 +549,15 @@ def write_container(graphs, path, graph_ids=None) -> None:
 def format_family(family: LshFamily) -> str:
     """Serialize family parameters so a run can be replayed bit-exactly."""
     cfg = family.config
+    vectors = family.thresholds if cfg.variant == LSP_T else family.directions
     out = [
         FAMILY_MAGIC,
-        f"family {cfg.variant} {cfg.k} {cfg.d} {cfg.m} {_fmt(cfg.l)} {cfg.master_seed}",
+        f"family {cfg.variant} {cfg.k} {cfg.d} {cfg.m} {float(cfg.l)!r} {cfg.master_seed}",
     ]
-    vectors = family.thresholds if cfg.variant == LSP_T else family.directions
-    for i in range(cfg.k):
-        vals = " ".join(_fmt(x) for x in vectors[i])
-        out.append(f"w {i} {vals}")
+    # Python floats, not numpy scalars; repr of a float round-trips it
+    out += [f"w {i} {' '.join(map(repr, row))}" for i, row in enumerate(vectors.tolist())]
     if cfg.variant == LSP_P:
-        for i in range(cfg.k):
-            out.append(f"b {i} {_fmt(family.offsets[i])}")
+        out += [f"b {i} {b!r}" for i, b in enumerate(family.offsets.tolist())]
     out.append("")
     return "\n".join(out)
 
@@ -662,21 +620,12 @@ def parse_family(path) -> LshFamily:
         return LshFamily(config=cfg, directions=vectors, offsets=np.array(offsets))
 
 
-def _pair(line: int, tokens: list[str]) -> tuple[int, int]:
-    if len(tokens) != 2:
-        raise ContainerFormatError("pair line must be '<u> <v>'", line)
-    u, v = (_want_int(t, "pair node", line) for t in tokens)
-    if u not in _INT64 or v not in _INT64:
-        raise ContainerFormatError(f"pair ({u}, {v}) out of range", line)
-    return u, v
-
-
 def parse_pairs(path) -> np.ndarray:
     """Read a node-pair file: one ``<u> <v>`` line per pair; ``#`` lines are comments.
 
     Returns a ``(P, 2)`` int64 array, converted a chunk of lines at a time.
     """
-    chunks = []
+    chunks = [np.empty((0, 2), np.int64)]
     with open(path, encoding="utf-8") as fh:
         scan = _Scanner(fh)
         while True:
@@ -689,8 +638,16 @@ def parse_pairs(path) -> np.ndarray:
                     raise ValueError("not a clean block of pairs")
                 chunks.append(table.astype(np.int64))
             except (ValueError, OverflowError):
-                chunks.append(np.array([_pair(*item) for item in zip(lines, rows)], dtype=np.int64))
-    return _stack(chunks, (0, 2))
+                pairs = []
+                for line, tokens in zip(lines, rows):
+                    if len(tokens) != 2:
+                        raise ContainerFormatError("pair line must be '<u> <v>'", line)
+                    u, v = (_want_int(t, "pair node", line) for t in tokens)
+                    if u not in _INT64 or v not in _INT64:
+                        raise ContainerFormatError(f"pair ({u}, {v}) out of range", line)
+                    pairs.append((u, v))
+                chunks.append(np.array(pairs, dtype=np.int64))
+    return np.concatenate(chunks)
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -722,8 +679,9 @@ def format_tsv(header, rows) -> str:
 
 def variance_curve_rows(curve) -> list[list]:
     """Long-format rows (kept_fraction, depth, variance) for a variance curve."""
-    rows = []
-    for fi, fraction in enumerate(curve.fractions):
-        for di, depth in enumerate(curve.depths):
-            rows.append([_fmt(fraction), depth, _fmt(curve.variances[fi, di])])
-    return rows
+    variances = curve.variances.tolist()  # Python floats: str of a float is its repr
+    return [
+        [fraction, depth, variances[fi][di]]
+        for fi, fraction in enumerate(curve.fractions)
+        for di, depth in enumerate(curve.depths)
+    ]

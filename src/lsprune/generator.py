@@ -172,8 +172,9 @@ def generate_sample(
 class _Dataset:
     """The ``(graph, label)`` pairs of a dataset, generated one at a time on each iteration.
 
-    Only the sample at hand is held; ``len`` counts the samples without
-    generating them.
+    Only the sample at hand is held, and each class template is built when
+    its class first comes up; ``len`` counts the samples without generating
+    them.
     """
 
     def __init__(self, cfg: GeneratorConfig):
@@ -184,8 +185,10 @@ class _Dataset:
 
     def __iter__(self):
         cfg = self._cfg
-        templates = [generate_class_template(cfg, c) for c in range(cfg.num_classes)]
+        templates: list[ClassTemplate] = []
         for s in range(cfg.num_samples):
+            if s < cfg.num_classes:  # labels are round-robin: class s first comes up here
+                templates.append(generate_class_template(cfg, s))
             sample = generate_sample(cfg, templates, s)
             yield sample.graph, sample.label
 

@@ -16,7 +16,6 @@ evaluations.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -200,24 +199,19 @@ def prune_dataset(
     attr_mode: str | None = None,
     endpoint_order: str = CANONICAL,
     zscore: bool = False,
-    strict: bool = True,
-) -> list[PruneResult | None]:
+) -> list[PruneResult]:
     """Prune every graph in a dataset with one shared configuration.
 
     Exactly one of ``family`` / ``random_cfg`` selects the method.  The same
     hash family (same seeds) is applied to each graph, which is what makes
     selections consistent across samples; the random baseline reseeds from
     ``random_cfg.seed`` per graph so identical graphs yield identical
-    results.
-
-    With ``strict`` (default) the first per-graph failure raises, naming the
-    graph index.  Otherwise failures are warned about and reported as
-    ``None`` entries, preserving input order.
+    results.  The first per-graph failure raises, naming the graph index.
     """
     if (family is None) == (random_cfg is None):
         raise ValueError("pass exactly one of family= or random_cfg=")
 
-    results: list[PruneResult | None] = []
+    results: list[PruneResult] = []
     for idx, g in enumerate(graphs):
         try:
             if family is not None:
@@ -227,10 +221,7 @@ def prune_dataset(
             else:
                 results.append(random_prune(g, random_cfg))
         except Exception as exc:
-            if strict:
-                raise ValueError(f"graph {idx}: {exc}") from exc
-            warnings.warn(f"graph {idx} skipped: {exc}", stacklevel=2)
-            results.append(None)
+            raise ValueError(f"graph {idx}: {exc}") from exc
     return results
 
 

@@ -162,6 +162,26 @@ def test_method_specific_flag_validation(tmp_path, sample_container, capsys):
     assert code == 1 and "usage-error" in err
 
 
+@pytest.mark.parametrize("flag", [["--attr-mode", "raw_edge"],
+                                  ["--endpoint-order", "center_first"], ["--zscore"]])
+def test_random_rejects_lsp_only_flags(tmp_path, sample_container, capsys, flag):
+    out = tmp_path / "x.lspg"
+    code, stdout, err = run(["prune", "--input", str(sample_container), "--output", str(out),
+                             "--method", "random"] + flag, capsys)
+    assert (code, stdout) == (1, "")
+    assert err == f"usage-error: {flag[0]} only applies to lsp-t/lsp-p\n"
+    assert not out.exists()
+
+
+def test_random_rejects_lsp_only_config_key(tmp_path, sample_container, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"input = {sample_container}\noutput = {tmp_path / 'x.lspg'}\n"
+                   "method = random\nattr_mode = node_only\n")
+    code, stdout, err = run(["prune", "--config", str(cfg)], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == "usage-error: --attr-mode only applies to lsp-t/lsp-p\n"
+
+
 def test_missing_input_is_data_error(tmp_path, capsys):
     code, _, err = run(
         ["prune", "--input", str(tmp_path / "absent.lspg"),

@@ -75,6 +75,14 @@ def test_count_mismatch_diagnostics(tmp_path):
     with pytest.raises(ContainerFormatError, match="line 5.*count mismatch"):
         read_graphs(path)
 
+    # a line of another kind is no row even when it is exactly as wide as one
+    path.write_text("lspg 1\nG 0\nN 3 2\nM 1 1\nnode 0 1.0 2.0\nnode 1 3.0 4.0\nedge 2 1 5.0\n")
+    with pytest.raises(ContainerFormatError, match="^line 7: count mismatch: expected 3 node"):
+        read_graphs(path)
+    path.write_text("lspg 1\nG 0\nN 2 0\nM 2 0\nnode 0\nnode 1\nedge 0 1\nnodelabel 0 1\n")
+    with pytest.raises(ContainerFormatError, match="^line 8: count mismatch: expected 2 edge"):
+        read_graphs(path)
+
 
 def test_self_loop_edge_line_rejected(tmp_path):
     path = tmp_path / "loop.lspg"

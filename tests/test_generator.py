@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,21 @@ def test_dataset_reproducible_from_config():
         assert np.array_equal(g1.edges, g2.edges)
         assert np.array_equal(g1.node_attrs, g2.node_attrs)
         assert np.array_equal(g1.edge_attrs, g2.edge_attrs)
+
+
+def test_dataset_builds_only_the_templates_it_uses():
+    # two samples of fifty classes need two templates; building all fifty holds 25 times more
+    cfg = small_cfg(num_samples=2, num_classes=50, min_nodes=30, max_nodes=30, edge_dim=20)
+    tpl = generate_class_template(cfg, 0)
+    one = tpl.edges.nbytes + tpl.node_centers.nbytes + tpl.edge_centers.nbytes
+    tracemalloc.start()
+    try:
+        for _sample in generate_dataset(cfg):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * one
 
 
 def test_different_seeds_differ():

@@ -297,15 +297,12 @@ def test_prune_dataset_permuted_twins_keep_permuted_edges():
     assert mapped == set(map(tuple, res_perm.kept_edges.tolist()))
 
 
-def test_prune_dataset_strict_flag():
+def test_prune_dataset_names_the_failing_graph():
     good = attributed(random_graph(np.random.default_rng(24), 10, 0.4), seed=25)
     bad = Graph(3, [(0, 1)])  # no attributes at all
     fam = family(k=1, seed=0)
     with pytest.raises(ValueError, match="graph 1"):
         prune_dataset([good, bad], family=fam)
-    with pytest.warns(UserWarning, match="graph 1"):
-        results = prune_dataset([good, bad], family=fam, strict=False)
-    assert results[0] is not None and results[1] is None
 
 
 def test_prune_dataset_requires_exactly_one_method():
