@@ -28,21 +28,21 @@ from .seeding import mix_seed
 _KHOP_BLOCK_BYTES = 8_000_000
 # node pairs per Jaccard chunk; bounds the neighbor lists gathered at once
 _JACCARD_CHUNK = 2048
-# set bits per byte value (np.bitwise_count needs numpy >= 2.0)
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def _row_popcount(words: np.ndarray) -> np.ndarray:
-    return _POPCOUNT[words.view(np.uint8)].sum(axis=1, dtype=np.int64)
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
 
 
 def _khop_counts(g: Graph, depths: tuple[int, ...]) -> np.ndarray:
     """Counts matrix of shape (len(depths), num_nodes) by bitset level expansion.
 
     ``reach[v]`` holds one bit per source of the current block of 64-bit
-    words: the sources that reach ``v`` within the current level.  Each level
-    ORs every node's neighbor rows into its own; a block stops expanding once
-    a level adds no bit, since every deeper level is then the same.
+    words: the sources that reach ``v`` within the current level.  Level 1
+    is set straight from the CSR, since the sources that reach ``v`` in one
+    hop are ``v`` and its neighbors.  Each deeper level ORs every node's
+    neighbor rows into its own; a block stops expanding once a level adds no
+    bit, since every deeper level is then the same.
     """
     limit = max(depths)
     counts = np.zeros((len(depths), g.num_nodes), dtype=np.int64)
@@ -55,25 +55,33 @@ def _khop_counts(g: Graph, depths: tuple[int, ...]) -> np.ndarray:
     has = adj.degrees > 0
     live = int(has.sum())
     nbrs = (np.cumsum(has) - 1)[adj.neighbors]
-    starts = adj.indptr[:-1][has]
+    bounds = np.append(adj.indptr[:-1][has], len(nbrs))  # CSR offsets over live nodes
+    starts = bounds[:-1]
+    bit = np.uint64(1) << (np.arange(live) % 64).astype(np.uint64)  # a source's bit in its word
     words = -(-live // 64)
     # words of sources per block; reach itself (live rows) is no larger than the gather
     block = max(1, _KHOP_BLOCK_BYTES // (8 * len(nbrs)))
     sizes_at = np.zeros((len(depths), live), dtype=np.int64)
     for w0 in range(0, words, block):
         width = min(block, words - w0)
-        src = np.arange(64 * w0, min(live, 64 * (w0 + width)))
+        lo, hi = 64 * w0, min(live, 64 * (w0 + width))
         reach = np.zeros((live, width), dtype=np.uint64)
-        reach[src, src // 64 - w0] = np.uint64(1) << (src % 64).astype(np.uint64)
-        sizes = [_row_popcount(reach)]  # sizes[level]; level 0 is the source itself
-        while len(sizes) <= limit:
+        # level 1: each source's own bit, then the same bit in each neighbor's row;
+        # the incidences of sources lo..hi-1 are one contiguous stretch of the CSR
+        flat = reach.reshape(-1)
+        own = np.arange(lo, hi)
+        flat[own * width + own // 64 - w0] = bit[own]
+        src = np.repeat(own, np.diff(bounds[lo : hi + 1]))
+        np.bitwise_or.at(flat, nbrs[bounds[lo] : bounds[hi]] * width + src // 64 - w0, bit[src])
+        sizes = [_row_popcount(reach)]  # sizes[j]: reach within level j + 1
+        while len(sizes) < limit:
             grown = reach | np.bitwise_or.reduceat(reach[nbrs], starts, axis=0)
             if np.array_equal(grown, reach):
                 break
             reach = grown
             sizes.append(_row_popcount(reach))
         for row, k in enumerate(depths):
-            sizes_at[row] += sizes[min(k, len(sizes) - 1)]
+            sizes_at[row] += sizes[min(k, len(sizes)) - 1]
     counts[:, has] = sizes_at - 1  # each node's own bit
     return counts
 

@@ -332,8 +332,6 @@ def _count_line(scan: _Scanner, tag: str, names: tuple[str, str], after: str, li
     count, dim = (_want_int(token, name, line) for token, name in zip(tokens[1:], names))
     if count < 0 or dim < 0:
         raise ContainerFormatError("counts must be non-negative", line)
-    if dim >= _MAX_DIM:
-        raise ContainerFormatError(f"{names[1]} {dim} is too large", line)
     return line, count, dim
 
 
@@ -352,7 +350,7 @@ def _rows(scan: _Scanner, tag: str, count: int, keys: int, dim: int, line: int,
     width = 1 + keys + dim
     mismatch = f"count mismatch: expected {count} {tag} lines"
     key_chunks = [np.empty((0, keys), np.int64)]
-    value_chunks = [np.empty((0, dim))]
+    value_chunks = []  # a huge dim fails on the first row, as a line-by-line reader does
     lines: list = []  # the line numbers of each chunk
     pending: list = []  # keys of the rows read so far in a line-by-line chunk
 
@@ -390,6 +388,10 @@ def _rows(scan: _Scanner, tag: str, count: int, keys: int, dim: int, line: int,
         raise
     every = np.concatenate(key_chunks)
     repeats(every, line_of)
+    if not count:
+        if dim >= _MAX_DIM:
+            raise ContainerFormatError(f"{tag}_dim {dim} is too large", line)
+        value_chunks.append(np.empty((0, dim)))
     return every, np.concatenate(value_chunks), line
 
 

@@ -17,6 +17,11 @@ class GraphStructureError(ValueError):
     """Raised when node/edge data violates the structural invariants."""
 
 
+# the largest n with n * n <= 2**63: every edge key u * n + v (< n * n) then fits
+# int64, which the duplicate check, the adjacency sort and the Jaccard lookups rely on
+MAX_NODES = 3_037_000_499
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -59,6 +64,11 @@ class Graph:
     def __post_init__(self) -> None:
         if self.num_nodes < 0:
             raise GraphStructureError(f"num_nodes must be >= 0, got {self.num_nodes}")
+        if self.num_nodes > MAX_NODES:
+            raise GraphStructureError(
+                f"num_nodes {self.num_nodes} exceeds {MAX_NODES}, "
+                "the largest whose edge keys u * num_nodes + v fit int64"
+            )
 
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2).copy()
         if len(edges):
@@ -140,12 +150,6 @@ class AdjacencyView:
     neighbors: np.ndarray
     edge_index: np.ndarray
 
-    def neighbors_of(self, u: int) -> np.ndarray:
-        return self.neighbors[self.indptr[u] : self.indptr[u + 1]]
-
-    def incident_edges_of(self, u: int) -> np.ndarray:
-        return self.edge_index[self.indptr[u] : self.indptr[u + 1]]
-
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
@@ -161,16 +165,19 @@ def build_adjacency(g: Graph) -> AdjacencyView:
     n_edges = len(edges)
     ends = np.concatenate([edges[:, 0], edges[:, 1]])
     nbrs = np.concatenate([edges[:, 1], edges[:, 0]])
-    eidx = np.concatenate([np.arange(n_edges), np.arange(n_edges)])
 
-    order = np.lexsort((nbrs, ends))
+    # the keys are distinct (no duplicate edges, no loops) and fit int64 (MAX_NODES),
+    # so one argsort of any kind gives the (end, neighbor) order
+    order = np.argsort(ends * g.num_nodes + nbrs)
     counts = np.bincount(ends, minlength=g.num_nodes)
     indptr = np.zeros(g.num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
 
+    neighbors = nbrs[order]
+    order[order >= n_edges] -= n_edges  # position in ends/nbrs -> row of g.edges
     return AdjacencyView(
         num_nodes=g.num_nodes,
         indptr=_freeze(indptr),
-        neighbors=_freeze(nbrs[order]),
-        edge_index=_freeze(eidx[order]),
+        neighbors=_freeze(neighbors),
+        edge_index=_freeze(order),
     )

@@ -112,27 +112,26 @@ class LshFamily:
             offsets[i] = rng.uniform(0.0, cfg.l)
         return cls(config=cfg, directions=directions, offsets=offsets)
 
-    def bucket_rows(self, i: int, rows: np.ndarray) -> np.ndarray:
-        """Buckets of a batch of row vectors under function ``i``."""
-        rows = _check_rows(rows, self.config.d)
-        if self.config.variant == LSP_T:
-            return _signature_buckets(rows > self.thresholds[i], self.config.m)
-        with np.errstate(over="ignore"):  # an overflow to inf fails the range check
-            bins = np.floor((rows @ self.directions[i] + self.offsets[i]) / self.config.l)
-        if not ((bins >= -(2.0**63)) & (bins < 2.0**63)).all():
-            raise ValueError(
-                f"lsp_p projection bucket outside int64 under function {i}; "
-                "attribute values are too large for bin width l"
-            )
-        return bins.astype(np.int64)
-
     def bucket_matrix(self, rows: np.ndarray) -> np.ndarray:
         """``(k, n)`` bucket matrix of ``n`` row vectors under all functions.
 
         Each (row, function) pair is hashed exactly once.
         """
-        rows = _check_rows(rows, self.config.d)
-        return np.stack([self.bucket_rows(i, rows) for i in range(self.config.k)])
+        cfg = self.config
+        rows = _check_rows(rows, cfg.d)
+        if cfg.variant == LSP_T:
+            return np.stack([_signature_buckets(rows > t, cfg.m) for t in self.thresholds])
+        out = np.empty((cfg.k, len(rows)), dtype=np.int64)
+        for i in range(cfg.k):
+            with np.errstate(over="ignore"):  # an overflow to inf fails the range check
+                bins = np.floor((rows @ self.directions[i] + self.offsets[i]) / cfg.l)
+            if not ((bins >= -(2.0**63)) & (bins < 2.0**63)).all():
+                raise ValueError(
+                    f"lsp_p projection bucket outside int64 under function {i}; "
+                    "attribute values are too large for bin width l"
+                )
+            out[i] = bins
+        return out
 
 
 def _check_rows(rows: np.ndarray, d: int) -> np.ndarray:
@@ -152,13 +151,28 @@ def _signature_buckets(bits: np.ndarray, m: int) -> np.ndarray:
     """MD5-reduce boolean signatures (one per row) to buckets in [0, m).
 
     Rows often share a signature, so each distinct packed row is hashed once
-    and its bucket scattered back to every row that carries it.
+    and its bucket scattered back to every row that carries it.  Packed rows
+    of up to 8 bytes are deduplicated as left-aligned big-endian ``uint64``
+    keys, which sort several times faster than ``void`` keys.
     """
-    packed = np.packbits(bits, axis=1)  # MSB first, tail zero-padded
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    uniq, inverse = np.unique(keys, return_inverse=True)
+    n, d = bits.shape
+    width = -(-d // 8)  # bytes of a packed signature
+    # whole bytes per row, so one flat packbits packs each row MSB first with a
+    # zero-padded tail (packbits along axis 1 is several times slower)
+    padded = np.zeros((n, 8 * width), dtype=bool)
+    padded[:, :d] = bits
+    packed = np.packbits(padded.reshape(-1)).reshape(n, width)
+    if width <= 8:
+        keys = np.zeros((n, 8), dtype=np.uint8)
+        keys[:, :width] = packed
+        keys = keys.view(">u8")
+    else:
+        keys = packed.view((np.void, width))
+    uniq, inverse = np.unique(keys.ravel(), return_inverse=True)
+    # the packed bytes of each distinct signature, without the uint64 padding
+    raw = np.ascontiguousarray(uniq.view(np.uint8).reshape(-1, uniq.itemsize)[:, :width])
     md5 = hashlib.md5
-    digests = b"".join([md5(key).digest()[:8] for key in uniq.tolist()])
+    digests = b"".join([md5(s).digest()[:8] for s in raw.view((np.void, width)).ravel().tolist()])
     heads = np.frombuffer(digests, dtype=">u8")  # first 8 digest bytes, big-endian
     return (heads % m).astype(np.int64)[inverse]
 

@@ -65,16 +65,20 @@ def test_khop_matches_floyd_warshall_oracle():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    n=st.integers(1, 80),
+    n=st.integers(1, 150),  # above 64 live nodes, one-word blocks split the sources
     components=st.integers(1, 3),
     edge_prob=st.floats(0.0, 0.3),
-    depths=st.lists(st.one_of(st.integers(1, 4), st.integers(5, 90)), min_size=1, max_size=5),
+    depths=st.one_of(  # depth 1 alone stops every block after the level-1 scatter
+        st.just([1]),
+        st.lists(st.one_of(st.integers(1, 4), st.integers(5, 90)), min_size=1, max_size=5),
+    ),
     one_word_blocks=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(n=64, components=1, edge_prob=0.05, depths=[3, 1, 3], one_word_blocks=True, seed=0)
 @example(n=65, components=2, edge_prob=0.1, depths=[90, 2], one_word_blocks=True, seed=1)
 @example(n=65, components=1, edge_prob=0.03, depths=[1, 2, 4], one_word_blocks=False, seed=2)
+@example(n=150, components=3, edge_prob=0.05, depths=[1], one_word_blocks=True, seed=3)
 def test_khop_kernel_matches_floyd_warshall(n, components, edge_prob, depths,
                                             one_word_blocks, seed):
     # nodes of component -1 stay isolated; no edge joins two components

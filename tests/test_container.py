@@ -83,6 +83,26 @@ def test_count_mismatch_diagnostics(tmp_path):
     with pytest.raises(ContainerFormatError, match="^line 8: count mismatch: expected 2 edge"):
         read_graphs(path)
 
+    # a width no line can hold fails on the first row, after the M line and the row's key
+    wide = 2**63
+    path.write_text(f"lspg 1\nG 0\nN 2 {wide}\nM 0 0\nnode 0\nnode 1\n")
+    with pytest.raises(ContainerFormatError,
+                       match=f"^line 5: count mismatch: expected {wide} node attribute values"):
+        read_graphs(path)
+    path.write_text(f"lspg 1\nG 0\nN 2 {wide}\nM 0 0\nnode x\n")
+    with pytest.raises(ContainerFormatError, match="^line 5: node id must be an integer"):
+        read_graphs(path)
+    path.write_text(f"lspg 1\nG 0\nN 0 {wide}\nM 1\n")
+    with pytest.raises(ContainerFormatError, match="^line 4: expected 'M <num_edges>"):
+        read_graphs(path)
+    path.write_text(f"lspg 1\nG 0\nN 1 0\nM 0 {wide}\nnode -1\n")
+    with pytest.raises(ContainerFormatError, match="^line 5: node id -1 is negative"):
+        read_graphs(path)
+    # with no rows there is no line to fail on: numpy cannot shape the empty block
+    path.write_text(f"lspg 1\nG 0\nN 0 {wide}\nM 0 0\n")
+    with pytest.raises(ContainerFormatError, match=f"^line 4: node_dim {wide} is too large"):
+        read_graphs(path)
+
 
 def test_self_loop_edge_line_rejected(tmp_path):
     path = tmp_path / "loop.lspg"

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lsprune import LshFamily, LshFamilyConfig, collision_rate
+
+from util import bucket_rows, md5_bucket
 
 # first 8 bytes, big-endian, of MD5 over a single byte; frozen from an
 # independent digest computation
@@ -28,7 +30,7 @@ def p_family(directions, offsets, l=1.0):
 
 def bucket(family, i, x):
     """Bucket of the single vector ``x`` under function ``i``."""
-    return int(family.bucket_rows(i, np.asarray(x, dtype=np.float64)[None])[0])
+    return int(bucket_rows(family, i, np.asarray(x, dtype=np.float64)[None])[0])
 
 
 def test_all_ones_signature_matches_md5_oracle():
@@ -131,27 +133,34 @@ def test_bucket_matrix_matches_spec():
             assert pmat[i, j] == math.floor(proj / 0.5)
 
 
+@settings(max_examples=80, deadline=None)
 @given(
-    d=st.sampled_from([1, 7, 8, 16, 60, 65, 440, 600]),  # keys of 1..75 bytes
+    d=st.sampled_from([1, 7, 8, 9, 16, 60, 64, 65, 440, 600]),  # keys of 1..75 bytes
+    k=st.integers(1, 4),
     n=st.one_of(st.just(0), st.just(1), st.integers(2, 80)),
     pool=st.integers(1, 5),
     m=st.sampled_from([2, 1024, 2**63]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_repeated_signatures_match_hashlib(d, n, pool, m, seed):
-    # rows repeat a small pool, so most signatures are shared; every row must
-    # still get the bucket of its own MD5, first 8 bytes big-endian, mod m
+@example(d=64, k=2, n=40, pool=3, m=2**63, seed=0)  # the widest uint64 key
+@example(d=65, k=2, n=40, pool=3, m=2**63, seed=0)  # the narrowest void key
+def test_repeated_signatures_match_hashlib(d, k, n, pool, m, seed):
+    # rows repeat a small pool, so most signatures are shared; under each of k
+    # random threshold vectors every row must still get the bucket of its own
+    # MD5, first 8 bytes big-endian, mod m
     rng = np.random.default_rng(seed)
-    base = rng.standard_normal((pool, d))
-    base[0] = -1.0  # the all-zero signature: a key of NUL bytes only
-    rows = base[rng.integers(0, pool, n)]
-    got = t_family(np.zeros((1, d)), m=m).bucket_rows(0, rows)
-    expected = [
-        int.from_bytes(hashlib.md5(np.packbits(x > 0).tobytes()).digest()[:8], "big") % m
-        for x in rows
-    ]
-    assert got.dtype == np.int64
-    assert got.tolist() == expected
+    thresholds = rng.standard_normal((k, d))
+    base = rng.standard_normal((pool + 2, d))
+    base[0] = thresholds.min() - 1.0  # the all-zero signature: a key of NUL bytes only
+    base[1] = thresholds.max() + 1.0  # the all-one signature
+    rows = base[rng.integers(0, pool + 2, n)]
+    fam = t_family(thresholds, m=m)
+    got = fam.bucket_matrix(rows)
+    assert got.dtype == np.int64 and got.shape == (k, n)
+    assert got.tolist() == [[md5_bucket(x > t, m) for x in rows] for t in thresholds]
+    assert fam.bucket_matrix(base[:2]).tolist() == [
+        [md5_bucket(np.zeros(d, bool), m), md5_bucket(np.ones(d, bool), m)]
+    ] * k
 
 
 def test_config_validation():

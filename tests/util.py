@@ -7,12 +7,13 @@ vectorized paths; tests compare the two.
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from lsprune import Graph, parse_container_detailed
+from lsprune import AdjacencyView, Graph, parse_container_detailed
 from lsprune.container import (
     FAMILY_MAGIC,
     GRAPH_MAGIC,
@@ -126,6 +127,42 @@ def floyd_warshall_khop(g: Graph, k: int, dist: list[list[int]] | None = None) -
     if dist is None:
         dist = floyd_warshall_distances(g)
     return np.array([sum(d <= k for d in row) - 1 for row in dist], dtype=np.int64)
+
+
+def neighbors_of(adj: AdjacencyView, u: int) -> np.ndarray:
+    """The ascending neighbors of ``u`` in a CSR adjacency view."""
+    return adj.neighbors[adj.indptr[u] : adj.indptr[u + 1]]
+
+
+def incident_edges_of(adj: AdjacencyView, u: int) -> np.ndarray:
+    """Edge-list positions of the edges at ``u``, aligned with :func:`neighbors_of`."""
+    return adj.edge_index[adj.indptr[u] : adj.indptr[u + 1]]
+
+
+def lexsort_adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, neighbors, edge_index)`` from a two-key ``np.lexsort``.
+
+    The order of the library's single-key sort must equal this one: by end
+    node, then by neighbor.
+    """
+    edges = g.edges
+    ends = np.concatenate([edges[:, 0], edges[:, 1]])
+    nbrs = np.concatenate([edges[:, 1], edges[:, 0]])
+    eidx = np.concatenate([np.arange(len(edges)), np.arange(len(edges))])
+    order = np.lexsort((nbrs, ends))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=g.num_nodes))])
+    return indptr, nbrs[order], eidx[order]
+
+
+def bucket_rows(family: LshFamily, i: int, rows) -> np.ndarray:
+    """Buckets of a batch of row vectors under function ``i`` of ``family``."""
+    return family.bucket_matrix(rows)[i]
+
+
+def md5_bucket(bits, m: int) -> int:
+    """lsp-t bucket of one boolean signature, hashed with ``hashlib`` on its own."""
+    digest = hashlib.md5(np.packbits(bits).tobytes()).digest()
+    return int.from_bytes(digest[:8], "big") % m
 
 
 # ---------------------------------------------------------------- reference readers
