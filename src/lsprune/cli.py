@@ -6,6 +6,9 @@ resolved configuration to stdout in config-file form so any run can be
 replayed exactly.  All randomness flows from the single ``--seed`` value;
 nothing reads ambient entropy.
 
+Each subcommand's options are one schema of ``(key, type, default)`` rows; its
+flags, config keys, value checks and echo all come from it.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error, each
 with a single-line ``category: detail`` diagnostic on stderr.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import closing
+from dataclasses import fields
 
 import numpy as np
 
@@ -56,44 +60,61 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise UsageError(f"expected a boolean, got {text!r}")
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+_KINDS = {int: "an integer", float: "a number"}
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip()]
+def _value(key: str, typ, text: str):
+    """The text of a flag or config key as a value of schema type ``typ``.
+
+    This is the one check of an option's value, so a flag and its config key
+    fail with the same usage error.
+    """
+    if isinstance(typ, tuple):  # the allowed strings
+        if text not in typ:
+            raise UsageError(f"{key} must be one of {', '.join(typ)}")
+        return text
+    if typ is bool:  # a boolean flag takes no value: only a config key can be bad
+        if text.lower() in _BOOLS:
+            return _BOOLS[text.lower()]
+        raise UsageError(f"expected a boolean, got {text!r}")
+    if typ is str:
+        return text
+    try:
+        return typ(text)
+    except ValueError:
+        raise UsageError(f"{key} must be {_KINDS[typ]}, got {text!r}") from None
 
 
-def _resolve(schema, args) -> dict:
-    """Merge defaults < config file < explicit flags; mark explicit keys."""
-    file_cfg = {}
-    if getattr(args, "config", None):
-        file_cfg = parse_config_file(args.config)
-    resolved = {}
-    explicit = set()
-    casts = {int: int, float: float, bool: _parse_bool, str: str}
+def _resolve(command: str, schema, args) -> dict:
+    """Each option from its flag, else its config key, else its default; mark explicit keys.
+
+    A schema type may be a tuple of allowed strings.  A config key outside
+    ``schema`` is a usage error, and so is a required option (default None)
+    given neither way.
+    """
+    file_cfg = parse_config_file(args.config) if args.config else {}
+    known = {key for key, _typ, _default in schema}
+    for key in file_cfg:
+        if key not in known:
+            raise UsageError(f"config key {key!r} is not a {command} option")
+    resolved, explicit = {}, set()
     for key, typ, default in schema:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
-            explicit.add(key)
-        elif key in file_cfg:
-            try:
-                resolved[key] = casts[typ](file_cfg[key])
-            except ValueError as exc:
-                raise UsageError(f"config key {key}: {exc}") from None
+        text = getattr(args, key)
+        if text is None:
+            text = file_cfg.get(key)
+        if text is not None:
+            resolved[key] = _value(key, typ, text)
             explicit.add(key)
         else:
             resolved[key] = default
+    missing = [_flag(key) for key, _t, default in schema if default is None and key not in explicit]
+    if missing:
+        raise UsageError(f"{command} requires {' and '.join(missing)}")
     resolved["_explicit"] = explicit
     return resolved
 
@@ -102,7 +123,7 @@ def _echo(schema, resolved) -> None:
     pairs = []
     for key, typ, _default in schema:
         value = resolved[key]
-        if value is None or value == "":
+        if value == "":
             continue
         if typ is bool:
             value = "true" if value else "false"
@@ -120,49 +141,55 @@ def _graph_error(parsed, idx: int, detail) -> ValueError:
 _PRUNE_SCHEMA = [
     ("input", str, None),
     ("output", str, None),
-    ("method", str, "lsp-p"),
+    ("method", METHODS, "lsp-p"),
     ("k", int, DEFAULT_K),
     ("m", int, DEFAULT_M),
     ("l", float, DEFAULT_L),
     ("p", float, 0.5),
     ("seed", int, 0),
-    ("attr_mode", str, "auto"),
-    ("endpoint_order", str, CANONICAL),
+    ("attr_mode", ("auto",) + CONSTRUCTION_MODES, "auto"),
+    ("endpoint_order", ENDPOINT_ORDERS, CANONICAL),
     ("zscore", bool, False),
     ("family", str, ""),
 ]
 
+# The prune options that only some methods take, with those methods as a usage
+# error names them, and the options a loaded --family fixes.  The check that no
+# option leaks across methods and the echo both read these.
+_LSP = (("lsp-t", "lsp-p"), "lsp-t/lsp-p")
+_METHOD_ONLY = {
+    "k": _LSP,
+    "m": (("lsp-t",), "lsp-t"),
+    "l": (("lsp-p",), "lsp-p"),
+    "p": (("random",), "method random"),
+    "attr_mode": _LSP,
+    "endpoint_order": _LSP,
+    "zscore": _LSP,
+    "family": _LSP,
+}
+_FAMILY_FIXES = ("k", "m", "l", "seed")
 
-def _cmd_prune(args) -> int:
-    cfg = _resolve(_PRUNE_SCHEMA, args)
-    explicit = cfg["_explicit"]
+
+def _prune_rows(cfg) -> list:
+    """The schema rows a prune run takes; an explicit option outside them is a usage error."""
+    method, explicit = cfg["method"], cfg["_explicit"]
+    rows = []
+    for row in _PRUNE_SCHEMA:
+        methods, name = _METHOD_ONLY.get(row[0], (METHODS, ""))
+        if method in methods:
+            rows.append(row)
+        elif row[0] in explicit:
+            raise UsageError(f"{_flag(row[0])} only applies to {name}")
+    fixed = _FAMILY_FIXES if cfg["family"] else ()
+    for key in fixed:
+        if key in explicit:
+            raise UsageError(f"{_flag(key)} cannot be combined with --family, which fixes it")
+    return [row for row in rows if row[0] not in fixed]
+
+
+def _cmd_prune(cfg) -> int:
+    rows = _prune_rows(cfg)
     method = cfg["method"]
-    if method not in METHODS:
-        raise UsageError(f"method must be one of {', '.join(METHODS)}")
-    if cfg["input"] is None or cfg["output"] is None:
-        raise UsageError("prune requires --input and --output")
-    if cfg["attr_mode"] != "auto" and cfg["attr_mode"] not in CONSTRUCTION_MODES:
-        raise UsageError(f"attr_mode must be auto or one of {', '.join(CONSTRUCTION_MODES)}")
-    if cfg["endpoint_order"] not in ENDPOINT_ORDERS:
-        raise UsageError(f"endpoint_order must be one of {', '.join(ENDPOINT_ORDERS)}")
-
-    # method-specific parameters must not leak across methods
-    if method == "random":
-        for key in ("k", "m", "l", "family", "attr_mode", "endpoint_order", "zscore"):
-            if key in explicit:
-                raise UsageError(f"--{key.replace('_', '-')} only applies to lsp-t/lsp-p")
-    else:
-        if "p" in explicit:
-            raise UsageError("--p only applies to method random")
-        if method == "lsp-p" and "m" in explicit:
-            raise UsageError("--m only applies to lsp-t")
-        if method == "lsp-t" and "l" in explicit:
-            raise UsageError("--l only applies to lsp-p")
-        if cfg["family"]:
-            for key in ("k", "m", "l", "seed"):
-                if key in explicit:
-                    raise UsageError(f"--{key} cannot be combined with --family, which fixes it")
-
     parsed = parse_container_detailed(cfg["input"])
     graphs = parsed.graphs
 
@@ -171,7 +198,7 @@ def _cmd_prune(args) -> int:
             random_cfg = RandomPruneConfig(keep_probability=cfg["p"], seed=cfg["seed"])
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        _echo([s for s in _PRUNE_SCHEMA if s[0] in ("input", "output", "method", "p", "seed")], cfg)
+        _echo(rows, cfg)
         results = prune_dataset(graphs, random_cfg=random_cfg)
         family = None
     else:
@@ -195,16 +222,9 @@ def _cmd_prune(args) -> int:
                 raise UsageError(f"--family holds an {variant} family but method is {method}")
         else:
             try:
-                family = LshFamily.from_config(
-                    LshFamilyConfig(
-                        variant=method.replace("-", "_"),
-                        d=dims[0],
-                        k=cfg["k"],
-                        m=cfg["m"],
-                        l=cfg["l"],
-                        master_seed=cfg["seed"],
-                    )
-                )
+                family = LshFamily.from_config(LshFamilyConfig(
+                    variant=method.replace("-", "_"), d=dims[0], k=cfg["k"], m=cfg["m"],
+                    l=cfg["l"], master_seed=cfg["seed"]))
             except ValueError as exc:
                 raise UsageError(str(exc)) from None
         d = family.config.d
@@ -212,11 +232,7 @@ def _cmd_prune(args) -> int:
             if dim != d:
                 detail = f"family dimension {d} does not match attributes of dimension {dim}"
                 raise _graph_error(parsed, idx, detail)
-        echo_keys = ("input", "output", "method", "attr_mode", "endpoint_order", "zscore",
-                     "family")
-        if not cfg["family"]:  # a loaded family fixes k, m/l and the seed
-            echo_keys += ("k", "seed", "m" if method == "lsp-t" else "l")
-        _echo([s for s in _PRUNE_SCHEMA if s[0] in echo_keys], cfg)
+        _echo(rows, cfg)
         results = prune_dataset(
             graphs,
             family=family,
@@ -261,34 +277,15 @@ def _cmd_prune(args) -> int:
 
 # ---------------------------------------------------------------- generate
 
-_GENERATE_SCHEMA = [
-    ("output", str, None),
-    ("num_samples", int, GeneratorConfig.num_samples),
-    ("num_classes", int, GeneratorConfig.num_classes),
-    ("min_nodes", int, GeneratorConfig.min_nodes),
-    ("max_nodes", int, GeneratorConfig.max_nodes),
-    ("node_dim", int, GeneratorConfig.node_dim),
-    ("edge_dim", int, GeneratorConfig.edge_dim),
-    ("connectivity_rate", float, GeneratorConfig.connectivity_rate),
-    ("node_centers_std", float, GeneratorConfig.node_centers_std),
-    ("edge_centers_std", float, GeneratorConfig.edge_centers_std),
-    ("node_noise_std", float, GeneratorConfig.node_noise_std),
-    ("edge_noise_std", float, GeneratorConfig.edge_noise_std),
-    ("is_symmetric", bool, GeneratorConfig.is_symmetric),
-    ("node_removal_probability", float, GeneratorConfig.node_removal_probability),
-    ("seed", int, 0),
+_GENERATE_SCHEMA = [("output", str, None)] + [
+    (f.name, type(f.default), f.default) for f in fields(GeneratorConfig)
 ]
 
 
-def _cmd_generate(args) -> int:
-    cfg = _resolve(_GENERATE_SCHEMA, args)
-    if cfg["output"] is None:
-        raise UsageError("generate requires --output")
+def _cmd_generate(cfg) -> int:
     _echo(_GENERATE_SCHEMA, cfg)
     try:
-        gen_cfg = GeneratorConfig(
-            **{k: cfg[k] for k, _t, _d in _GENERATE_SCHEMA if k != "output"}
-        )
+        gen_cfg = GeneratorConfig(**{k: cfg[k] for k, _t, _d in _GENERATE_SCHEMA[1:]})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     samples = generate_dataset(gen_cfg)  # generated one at a time as they are written
@@ -327,14 +324,11 @@ _STATS_SCHEMA = [
 ]
 
 
-def _cmd_stats(args) -> int:
-    cfg = _resolve(_STATS_SCHEMA, args)
-    if cfg["input"] is None or cfg["output"] is None:
-        raise UsageError("stats requires --input and --output")
+def _cmd_stats(cfg) -> int:
     _echo(_STATS_SCHEMA, cfg)
     try:
-        depths = _parse_int_list(cfg["depths"])
-        fractions = _parse_float_list(cfg["fractions"])
+        depths = [int(t) for t in cfg["depths"].split(",") if t.strip()]
+        fractions = [float(t) for t in cfg["fractions"].split(",") if t.strip()]
     except ValueError as exc:
         raise UsageError(f"bad depths/fractions list: {exc}") from None
     try:
@@ -345,13 +339,7 @@ def _cmd_stats(args) -> int:
     graph, read = _graph_at(cfg["input"], cfg["graph_index"])
     if graph is None:
         raise UsageError(f"graph_index {cfg['graph_index']} outside container of {read}")
-    curve = neighborhood_variance_curve(
-        graph,
-        depths,
-        fractions,
-        pruner,
-        trials=cfg["trials"],
-    )
+    curve = neighborhood_variance_curve(graph, depths, fractions, pruner, trials=cfg["trials"])
     table = format_tsv(["kept_fraction", "depth", "variance"], variance_curve_rows(curve))
     write_atomically(cfg["output"], [table])
     return 0
@@ -369,11 +357,9 @@ _COMPARE_SCHEMA = [
 ]
 
 
-def _cmd_compare(args) -> int:
-    cfg = _resolve(_COMPARE_SCHEMA, args)
-    for key in ("input", "pruned", "output"):
-        if cfg[key] is None:
-            raise UsageError(f"compare requires --{key.replace('_', '-')}")
+def _cmd_compare(cfg) -> int:
+    if cfg["pairs_file"] and cfg["all_pairs"]:
+        raise UsageError("compare takes --pairs-file or --all-pairs, not both")
     if not cfg["pairs_file"] and not cfg["all_pairs"]:
         raise UsageError("compare needs --pairs-file or --all-pairs")
     _echo(_COMPARE_SCHEMA, cfg)
@@ -399,66 +385,37 @@ def _cmd_compare(args) -> int:
 
 # ---------------------------------------------------------------- wiring
 
+_COMMANDS = {  # name: (schema, run, help)
+    "prune": (_PRUNE_SCHEMA, _cmd_prune, "sparsify every graph in a container"),
+    "generate": (_GENERATE_SCHEMA, _cmd_generate, "write a synthetic classification dataset"),
+    "stats": (_STATS_SCHEMA, _cmd_stats, "neighborhood-size variance vs kept fraction"),
+    "compare": (_COMPARE_SCHEMA, _cmd_compare, "per-pair neighborhood Jaccard before/after"),
+}
+
+
 def build_parser() -> _Parser:
+    """One flag per schema row; its value stays text until ``_resolve`` checks it."""
     parser = _Parser(prog="lsprune", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pr = sub.add_parser("prune", help="sparsify every graph in a container")
-    pr.add_argument("--config", help="key = value config file; flags override it")
-    pr.add_argument("--input")
-    pr.add_argument("--output")
-    pr.add_argument("--method", choices=METHODS)
-    pr.add_argument("--k", type=int, help="hash functions per node")
-    pr.add_argument("--m", type=int, help="bucket count (lsp-t)")
-    pr.add_argument("--l", type=float, help="projection bin width (lsp-p)")
-    pr.add_argument("--p", type=float, help="keep probability (random)")
-    pr.add_argument("--seed", type=int)
-    pr.add_argument("--attr-mode", dest="attr_mode",
-                    choices=("auto",) + CONSTRUCTION_MODES)
-    pr.add_argument("--endpoint-order", dest="endpoint_order", choices=ENDPOINT_ORDERS)
-    pr.add_argument("--zscore", action="store_const", const=True, default=None)
-    pr.add_argument("--family", help="load hash parameters from a sidecar file")
-    pr.set_defaults(func=_cmd_prune)
-
-    ge = sub.add_parser("generate", help="write a synthetic classification dataset")
-    ge.add_argument("--config")
-    ge.add_argument("--output")
-    for key, typ, _default in _GENERATE_SCHEMA[1:]:
-        flag = "--" + key.replace("_", "-")
-        if typ is bool:
-            ge.add_argument(flag, dest=key, action="store_const", const=True, default=None)
-        else:
-            ge.add_argument(flag, dest=key, type=typ)
-    ge.set_defaults(func=_cmd_generate)
-
-    st = sub.add_parser("stats", help="neighborhood-size variance vs kept fraction")
-    st.add_argument("--config")
-    st.add_argument("--input")
-    st.add_argument("--output")
-    st.add_argument("--graph-index", dest="graph_index", type=int)
-    st.add_argument("--depths", help="comma-separated hop depths")
-    st.add_argument("--fractions", help="comma-separated kept fractions in (0, 1]")
-    st.add_argument("--trials", type=int)
-    st.add_argument("--seed", type=int)
-    st.set_defaults(func=_cmd_stats)
-
-    co = sub.add_parser("compare", help="per-pair neighborhood Jaccard before/after")
-    co.add_argument("--config")
-    co.add_argument("--input")
-    co.add_argument("--pruned")
-    co.add_argument("--output")
-    co.add_argument("--graph-index", dest="graph_index", type=int)
-    co.add_argument("--pairs-file", dest="pairs_file")
-    co.add_argument("--all-pairs", dest="all_pairs", action="store_const",
-                    const=True, default=None)
-    co.set_defaults(func=_cmd_compare)
+    for command, (schema, _run, help_text) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
+        cmd.add_argument("--config", help="key = value config file; flags override it")
+        for key, typ, default in schema:
+            note = "required" if default is None else f"default {default!r}"
+            if typ is bool:
+                cmd.add_argument(_flag(key), dest=key, action="store_const", const="true",
+                                 help=note)
+            else:
+                choices = "{" + ",".join(typ) + "}" if isinstance(typ, tuple) else None
+                cmd.add_argument(_flag(key), dest=key, metavar=choices, help=note)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        schema, run, _help = _COMMANDS[args.command]
+        return run(_resolve(args.command, schema, args))
     except UsageError as exc:
         print(f"usage-error: {exc}", file=sys.stderr)
         return 1

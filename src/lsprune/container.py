@@ -505,11 +505,6 @@ def _container_pieces(graphs, graph_ids):
         yield "".join(f"loop {nid}\n" for nid in sorted(g.self_loops))
 
 
-def format_container(graphs, graph_ids=None) -> str:
-    """Serialize graphs into container text (deterministic, round-trips)."""
-    return "".join(_container_pieces(graphs, graph_ids))
-
-
 def write_atomically(path, pieces) -> None:
     """Write the text ``pieces`` to ``path``, which changes only once every piece is written.
 
@@ -653,7 +648,10 @@ def parse_pairs(path) -> np.ndarray:
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Read a flat ``key = value`` config file; ``#`` lines are comments."""
+    """Read a flat ``key = value`` config file; ``#`` lines are comments.
+
+    A key given twice is an error naming its second line.
+    """
     out: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         stripped = raw.strip()
@@ -662,7 +660,10 @@ def parse_config_file(path) -> dict[str, str]:
         if "=" not in stripped:
             raise ContainerFormatError("config line is not 'key = value'", lineno)
         key, _, value = stripped.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise ContainerFormatError(f"config key {key!r} given twice", lineno)
+        out[key] = value.strip()
     return out
 
 

@@ -69,13 +69,6 @@ class PruneResult:
     def kept_edges(self) -> np.ndarray:
         return self.graph.edges
 
-    def selection_lists(self) -> dict[int, list[tuple[int, int]]]:
-        """Per-node list of ``(function, selected neighbor)`` pairs."""
-        out: dict[int, list[tuple[int, int]]] = {}
-        for node, func, nbr in self.selections.tolist():
-            out.setdefault(node, []).append((func, nbr))
-        return out
-
 
 def _subgraph(g: Graph, kept_idx: np.ndarray) -> Graph:
     return Graph(

@@ -31,7 +31,7 @@ from lsprune import (
 )
 from lsprune.cli import main as cli_main
 
-from util import brute_force_minhash, random_graph
+from util import brute_force_minhash, random_graph, selection_lists
 
 
 @contextmanager
@@ -121,7 +121,7 @@ def test_c02_edge_budget():
                     LshFamilyConfig(variant, d=4, k=k, master_seed=gi)
                 )
                 res = lsp_prune(g, attrs, fam)
-                lists = res.selection_lists()
+                lists = selection_lists(res)
                 for u in range(n):
                     if deg[u] == 0:
                         assert u not in lists
@@ -166,7 +166,7 @@ def test_c03_twin_consistency():
                     fam = LshFamily.from_config(
                         LshFamilyConfig(variant, d=table.dim, k=k, master_seed=seed)
                     )
-                    lists = lsp_prune(g, table, fam).selection_lists()
+                    lists = selection_lists(lsp_prune(g, table, fam))
                     for pair in range(num_pairs):
                         left = {tuple(g.node_attrs[v]) for _i, v in lists[2 * pair]}
                         right = {tuple(g.node_attrs[v]) for _i, v in lists[2 * pair + 1]}
@@ -363,5 +363,5 @@ def test_c10_minhash_oracle_equivalence():
             res = lsp_prune(g, attrs, fam)
             kept_oracle, sel_oracle = brute_force_minhash(g, attrs.rows, fam)
             assert set(map(tuple, res.kept_edges.tolist())) == kept_oracle
-            assert res.selection_lists() == sel_oracle
+            assert selection_lists(res) == sel_oracle
             checked += 1

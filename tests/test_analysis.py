@@ -18,7 +18,13 @@ from lsprune import (
     variance_scaling_check,
 )
 
-from util import floyd_warshall_distances, floyd_warshall_khop, random_graph, set_jaccard
+from util import (
+    floyd_warshall_distances,
+    floyd_warshall_khop,
+    random_graph,
+    selection_lists,
+    set_jaccard,
+)
 
 
 def path_graph(n):
@@ -265,7 +271,7 @@ def test_jaccard_shared_neighbor_twins_retain_attribute_consistency():
     g = Graph(6, edges, node_attrs=node_attrs)
     fam = LshFamily.from_config(LshFamilyConfig("lsp_p", d=4, k=2, master_seed=1))
     res = lsp_prune(g, build_edge_attrs(g, "node_only"), fam)
-    lists = res.selection_lists()
+    lists = selection_lists(res)
     picks0 = {v for _i, v in lists[0]}
     picks1 = {v for _i, v in lists[1]}
     assert picks0 == picks1  # identical hash inputs, identical argmins

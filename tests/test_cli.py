@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import lsprune
+import lsprune.cli as cli
 from lsprune import write_container
 from lsprune.cli import main
 
@@ -828,3 +830,141 @@ def test_output_under_a_bad_parent_is_data_error_naming_it(tmp_path, sample_cont
                         "--depths", "1", "--fractions", "1.0"], capsys)
     assert code == 2
     assert err == f"data-error: [Errno {2 if parent == 'missing' else 20}] {reason}: '{out}'\n"
+
+
+# ------------------------------------------------ one option table: flags and config keys alike
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _rows(keep=lambda typ, default: True):
+    """(command, schema row) for every row of every subcommand that ``keep`` accepts."""
+    return [pytest.param(command, row, id=f"{command}-{row[0]}")
+            for command, (schema, _run, _help) in cli._COMMANDS.items()
+            for row in schema if keep(row[1], row[2])]
+
+
+def _required(command, tmp_path, skip=None):
+    """Each required option of ``command`` but ``skip``, with a placeholder path."""
+    schema = cli._COMMANDS[command][0]
+    return [(key, str(tmp_path / key)) for key, _t, default in schema
+            if default is None and key != skip]
+
+
+def _as_flags(pairs):
+    return [text for key, value in pairs for text in (_flag(key), value)]
+
+
+def _config(tmp_path, pairs):
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in pairs))
+    return str(path)
+
+
+@pytest.mark.parametrize("command,row", _rows(lambda typ, default: typ not in (str, bool)))
+def test_bad_value_fails_alike_by_flag_and_by_config_key(tmp_path, capsys, command, row):
+    key = row[0]
+    base = [command] + _as_flags(_required(command, tmp_path))
+    by_flag = run(base + [_flag(key), "bogus"], capsys)
+    by_key = run(base + ["--config", _config(tmp_path, [(key, "bogus")])], capsys)
+    assert by_flag == by_key
+    code, stdout, err = by_flag
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"usage-error: {key} must be ")
+
+
+@pytest.mark.parametrize("command,row", _rows())
+def test_good_value_resolves_alike_by_flag_and_by_config_key(tmp_path, command, row):
+    key, typ, _default = row
+    value = {int: "3", float: "0.5", str: "some text", bool: "true"}.get(typ) or typ[-1]
+    schema = cli._COMMANDS[command][0]
+    required = _as_flags(_required(command, tmp_path, skip=key))
+    flag = [_flag(key)] if typ is bool else [_flag(key), value]
+    argvs = ([command] + required + flag,
+             [command] + required + ["--config", _config(tmp_path, [(key, value)])])
+    by_flag, by_key = (cli._resolve(command, schema, cli.build_parser().parse_args(argv))
+                       for argv in argvs)
+    assert by_flag == by_key
+    assert key in by_flag["_explicit"]
+
+
+@pytest.mark.parametrize("command,row", _rows(lambda typ, default: default is None))
+def test_missing_required_option_fails_alike_by_flags_and_by_config(tmp_path, capsys, command,
+                                                                     row):
+    others = _required(command, tmp_path, skip=row[0])
+    by_flags = run([command] + _as_flags(others), capsys)
+    by_config = run([command, "--config", _config(tmp_path, others)], capsys)
+    assert by_flags == by_config
+    assert by_flags == (1, "", f"usage-error: {command} requires {_flag(row[0])}\n")
+
+
+@pytest.mark.parametrize("command,row", _rows())
+def test_help_lists_each_flag_with_its_choices(capsys, command, row):
+    key, typ, _default = row
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    text = capsys.readouterr().out
+    shown = f"{_flag(key)} {{{','.join(typ)}}}" if isinstance(typ, tuple) else _flag(key)
+    assert re.search(rf"^ +{re.escape(shown)}( |$)", text, re.M), text
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_unknown_config_key_is_usage_error_naming_it(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "o.out"  # were the key ignored, no command would run long
+    path = _config(tmp_path, [("output", out), ("methd", "random")])
+    code, stdout, err = run([command, "--config", path], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == f"usage-error: config key 'methd' is not a {command} option\n"
+    assert not out.exists()
+
+
+def test_config_key_given_twice_is_data_error_naming_its_line(tmp_path, sample_container,
+                                                              capsys):
+    out = tmp_path / "o.lspg"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"input = {sample_container}\noutput = {out}\n# lsp-t\nmethod = lsp-t\n"
+                    "k = 2\nk = 3\n")
+    code, stdout, err = run(["prune", "--config", str(path)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == "data-error: line 6: config key 'k' given twice\n"
+    assert not out.exists()
+
+
+def test_compare_rejects_both_pair_sources(tmp_path, capsys):
+    g = random_graph(np.random.default_rng(3), 6, 0.5)
+    a = tmp_path / "a.lspg"
+    write_container([g], a)
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("0 1\n")
+    out = tmp_path / "o.tsv"
+    code, stdout, err = run(["compare", "--input", str(a), "--pruned", str(a), "--output",
+                             str(out), "--pairs-file", str(pairs), "--all-pairs"], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == "usage-error: compare takes --pairs-file or --all-pairs, not both\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,argv", [
+    ("generate", ["--num-samples", "4", "--min-nodes", "5", "--max-nodes", "7", "--node-dim",
+                  "2", "--edge-dim", "1", "--is-symmetric", "--seed", "3"]),
+    ("stats", ["--input", "{input}", "--graph-index", "1", "--depths", "1,2", "--fractions",
+               "0.5,1.0", "--trials", "2", "--seed", "5"]),
+    ("compare", ["--input", "{input}", "--pruned", "{input}", "--graph-index", "1",
+                 "--all-pairs"]),
+    ("compare", ["--input", "{input}", "--pruned", "{input}", "--pairs-file", "{pairs}"]),
+])
+def test_echo_replays_through_config(tmp_path, sample_container, capsys, command, argv):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("0 1\n2 5\n")
+    argv = [a.format(input=sample_container, pairs=pairs) for a in argv]
+    first, replay = tmp_path / "first.out", tmp_path / "replay.out"
+    code, echo, _ = run([command, "--output", str(first)] + argv, capsys)
+    assert code == 0
+    path = tmp_path / "echo.cfg"
+    path.write_text(echo)
+    code, echo_again, _ = run([command, "--config", str(path), "--output", str(replay)], capsys)
+    assert code == 0
+    assert echo_again == echo.replace(str(first), str(replay))
+    assert replay.read_bytes() == first.read_bytes()

@@ -21,9 +21,9 @@ from lsprune import (
     write_container,
     write_family,
 )
-from lsprune.container import format_config, format_container, format_tsv
+from lsprune.container import format_config, format_tsv
 
-from util import random_graph, read_graphs
+from util import format_container, random_graph, read_graphs
 
 
 def roundtrip(graphs, tmp_path, name="g.lspg"):

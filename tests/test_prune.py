@@ -13,7 +13,7 @@ from lsprune import (
     random_prune,
 )
 
-from util import brute_force_minhash, random_graph
+from util import brute_force_minhash, random_graph, selection_lists
 
 
 def family(variant="lsp_p", d=4, k=2, seed=0):
@@ -43,7 +43,7 @@ def test_star_with_k1_keeps_all_leaf_lifelines():
     g = Graph(4, [(0, 1), (0, 2), (0, 3)], edge_attrs=np.eye(3, 4))
     res = lsp_prune(g, build_edge_attrs(g, "raw_edge"), family(k=1))
     assert sorted(map(tuple, res.kept_edges.tolist())) == [(0, 1), (0, 2), (0, 3)]
-    lists = res.selection_lists()
+    lists = selection_lists(res)
     assert len(lists[0]) == 1  # the center contributed exactly one pick
 
 
@@ -52,7 +52,7 @@ def test_tie_break_prefers_smallest_neighbor():
     # decided purely by the tie-break
     g = Graph(4, [(0, 3), (0, 2), (0, 1)], edge_attrs=np.ones((3, 4)))
     res = lsp_prune(g, build_edge_attrs(g, "raw_edge"), family(k=3))
-    for func, nbr in res.selection_lists()[0]:
+    for func, nbr in selection_lists(res)[0]:
         assert nbr == 1
 
 
@@ -70,7 +70,7 @@ def test_twin_nodes_select_matching_attribute_sets():
             res = lsp_prune(
                 g, build_edge_attrs(g, "node_only"), family(variant, d=6, k=2, seed=seed)
             )
-            lists = res.selection_lists()
+            lists = selection_lists(res)
             sel0 = {tuple(node_attrs[v]) for _i, v in lists[0]}
             sel1 = {tuple(node_attrs[v]) for _i, v in lists[1]}
             assert sel0 == sel1
@@ -149,7 +149,7 @@ def test_union_reconstructs_kept_edges():
     res = lsp_prune(g, build_edge_attrs(g, "raw_edge"), family(k=2, seed=1))
     rebuilt = {
         (min(u, v), max(u, v))
-        for u, lst in res.selection_lists().items()
+        for u, lst in selection_lists(res).items()
         for _i, v in lst
     }
     assert rebuilt == set(map(tuple, res.kept_edges.tolist()))
@@ -161,7 +161,7 @@ def test_selection_counts_bounded():
     deg = build_adjacency(g).degrees
     for k in (1, 3):
         res = lsp_prune(g, build_edge_attrs(g, "raw_edge"), family(k=k, seed=3))
-        lists = res.selection_lists()
+        lists = selection_lists(res)
         for u in range(g.num_nodes):
             if deg[u] == 0:
                 assert u not in lists
@@ -251,7 +251,7 @@ def test_brute_force_oracle_agreement():
         res = lsp_prune(g, attrs, fam)
         kept_oracle, sel_oracle = brute_force_minhash(g, attrs.rows, fam)
         assert set(map(tuple, res.kept_edges.tolist())) == kept_oracle
-        assert res.selection_lists() == sel_oracle
+        assert selection_lists(res) == sel_oracle
 
 
 def test_prune_dataset_identical_graphs_identical_results():

@@ -19,6 +19,7 @@ from lsprune.container import (
     GRAPH_MAGIC,
     ContainerFormatError,
     ParsedContainer,
+    _container_pieces,
 )
 from lsprune.hashing import LSP_T, LshFamily, LshFamilyConfig
 
@@ -26,6 +27,19 @@ from lsprune.hashing import LSP_T, LshFamily, LshFamilyConfig
 def read_graphs(path) -> list[Graph]:
     """Every graph of a container file, in block order."""
     return parse_container_detailed(path).graphs
+
+
+def format_container(graphs, graph_ids=None) -> str:
+    """The container text ``write_container`` writes for ``graphs``."""
+    return "".join(_container_pieces(graphs, graph_ids))
+
+
+def selection_lists(result) -> dict[int, list[tuple[int, int]]]:
+    """Per-node list of ``(function, selected neighbor)`` pairs of a ``PruneResult``."""
+    out: dict[int, list[tuple[int, int]]] = {}
+    for node, func, nbr in result.selections.tolist():
+        out.setdefault(node, []).append((func, nbr))
+    return out
 
 
 def random_graph(
