@@ -64,7 +64,8 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-_KINDS = {int: "an integer", float: "a number"}
+_KINDS = {int: ("an integer", "integers"), float: ("a number", "numbers")}
+_INTS, _FLOATS = list[int], list[float]  # comma-separated lists
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
@@ -81,13 +82,24 @@ def _value(key: str, typ, text: str):
     if typ is bool:  # a boolean flag takes no value: only a config key can be bad
         if text.lower() in _BOOLS:
             return _BOOLS[text.lower()]
-        raise UsageError(f"expected a boolean, got {text!r}")
-    if typ is str:
+        raise UsageError(f"{key} must be a boolean, got {text!r}")
+    if typ is str:  # a config file strips its values, so the echo could not replay these
+        if text != text.strip():
+            raise UsageError(f"{key} must not begin or end with whitespace, got {text!r}")
         return text
+    if typ in (_INTS, _FLOATS):  # empty items are skipped
+        (item,) = typ.__args__
+        try:
+            return [item(t) for t in text.split(",") if t.strip()]
+        except ValueError:
+            kinds = _KINDS[item][1]
+            raise UsageError(
+                f"{key} must be a comma-separated list of {kinds}, got {text!r}"
+            ) from None
     try:
         return typ(text)
     except ValueError:
-        raise UsageError(f"{key} must be {_KINDS[typ]}, got {text!r}") from None
+        raise UsageError(f"{key} must be {_KINDS[typ][0]}, got {text!r}") from None
 
 
 def _resolve(command: str, schema, args) -> dict:
@@ -127,6 +139,8 @@ def _echo(schema, resolved) -> None:
             continue
         if typ is bool:
             value = "true" if value else "false"
+        elif typ in (_INTS, _FLOATS):
+            value = ",".join(map(str, value))  # str of a float is its repr
         pairs.append((key, value))
     sys.stdout.write(format_config(pairs))
 
@@ -288,8 +302,8 @@ def _cmd_generate(cfg) -> int:
         gen_cfg = GeneratorConfig(**{k: cfg[k] for k, _t, _d in _GENERATE_SCHEMA[1:]})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    samples = generate_dataset(gen_cfg)  # generated one at a time as they are written
-    write_container((g for g, _label in samples), cfg["output"])
+    samples = generate_dataset(gen_cfg)  # generated as they are written, by the writer's workers
+    write_container(samples.graphs(), cfg["output"])
     return 0
 
 
@@ -317,25 +331,20 @@ _STATS_SCHEMA = [
     ("input", str, None),
     ("output", str, None),
     ("graph_index", int, 0),
-    ("depths", str, "1,3,5"),
-    ("fractions", str, "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"),
+    ("depths", _INTS, [1, 3, 5]),
+    ("fractions", _FLOATS, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]),
     ("trials", int, 1),
     ("seed", int, 0),
 ]
 
 
 def _cmd_stats(cfg) -> int:
-    _echo(_STATS_SCHEMA, cfg)
-    try:
-        depths = [int(t) for t in cfg["depths"].split(",") if t.strip()]
-        fractions = [float(t) for t in cfg["fractions"].split(",") if t.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad depths/fractions list: {exc}") from None
     try:
         pruner = bernoulli_edge_pruner(cfg["seed"])
-        depths, fractions = check_curve_args(depths, fractions, cfg["trials"])
+        depths, fractions = check_curve_args(cfg["depths"], cfg["fractions"], cfg["trials"])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    _echo(_STATS_SCHEMA, cfg)
     graph, read = _graph_at(cfg["input"], cfg["graph_index"])
     if graph is None:
         raise UsageError(f"graph_index {cfg['graph_index']} outside container of {read}")

@@ -23,7 +23,9 @@ the parsed graphs stays bounded by one block.  Lines break where
 ``str.splitlines`` breaks them; integer and float tokens take the syntax of
 Python's ``int()`` and ``float()``.  ``iter_container`` yields one block at a
 time and the writer takes any iterable of graphs, so a pipeline need hold
-only the graph at hand.  Every output is written atomically.
+only the graph at hand.  A sequence of graphs is formatted by forked workers,
+one per usable CPU and a batch of graphs at a time, into the bytes one
+process writes.  Every output is written atomically.
 
 Hash-family parameters use the same line-oriented style under an ``lsph 1``
 magic so a pruning run can be replayed bit-exactly from its sidecar.
@@ -34,7 +36,12 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
+import pickle
+import signal
+import struct
+import sys
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -479,30 +486,35 @@ def _container_pieces(graphs, graph_ids):
         graph_ids = map(str, itertools.count())
     yield GRAPH_MAGIC + "\n"
     for gid, g in zip(graph_ids, graphs):
-        header = f"G {gid}"
-        if g.graph_label is not None:
-            header += f" label={int(g.graph_label)}"
-        yield f"{header}\nN {g.num_nodes} {g.node_dim()}\nM {g.num_edges} {g.edge_dim()}\n"
-        # Python floats and ints, not numpy scalars; repr of a float round-trips it
+        yield from _block_pieces(gid, g)
+
+
+def _block_pieces(gid, g: Graph):
+    """The text of one graph block in pieces of at most ``_ROW_CHUNK`` rows."""
+    header = f"G {gid}"
+    if g.graph_label is not None:
+        header += f" label={int(g.graph_label)}"
+    yield f"{header}\nN {g.num_nodes} {g.node_dim()}\nM {g.num_edges} {g.edge_dim()}\n"
+    # Python floats and ints, not numpy scalars; repr of a float round-trips it
+    for start in range(0, g.num_nodes, _ROW_CHUNK):
+        stop = min(start + _ROW_CHUNK, g.num_nodes)
+        if g.node_attrs is None:
+            yield "".join(f"node {nid}\n" for nid in range(start, stop))
+        else:
+            rows = enumerate(g.node_attrs[start:stop].tolist(), start)
+            yield "".join(f"node {nid} {' '.join(map(repr, row))}\n" for nid, row in rows)
+    for start in range(0, g.num_edges, _ROW_CHUNK):
+        ends = g.edges[start : start + _ROW_CHUNK].tolist()
+        if g.edge_attrs is None:
+            yield "".join(f"edge {u} {v}\n" for u, v in ends)
+        else:
+            rows = zip(ends, g.edge_attrs[start : start + _ROW_CHUNK].tolist())
+            yield "".join(f"edge {u} {v} {' '.join(map(repr, row))}\n" for (u, v), row in rows)
+    if g.node_labels is not None:
         for start in range(0, g.num_nodes, _ROW_CHUNK):
-            stop = min(start + _ROW_CHUNK, g.num_nodes)
-            if g.node_attrs is None:
-                yield "".join(f"node {nid}\n" for nid in range(start, stop))
-            else:
-                rows = enumerate(g.node_attrs[start:stop].tolist(), start)
-                yield "".join(f"node {nid} {' '.join(map(repr, row))}\n" for nid, row in rows)
-        for start in range(0, g.num_edges, _ROW_CHUNK):
-            ends = g.edges[start : start + _ROW_CHUNK].tolist()
-            if g.edge_attrs is None:
-                yield "".join(f"edge {u} {v}\n" for u, v in ends)
-            else:
-                rows = zip(ends, g.edge_attrs[start : start + _ROW_CHUNK].tolist())
-                yield "".join(f"edge {u} {v} {' '.join(map(repr, row))}\n" for (u, v), row in rows)
-        if g.node_labels is not None:
-            for start in range(0, g.num_nodes, _ROW_CHUNK):
-                labels = enumerate(g.node_labels[start : start + _ROW_CHUNK].tolist(), start)
-                yield "".join(f"nodelabel {nid} {y}\n" for nid, y in labels)
-        yield "".join(f"loop {nid}\n" for nid in sorted(g.self_loops))
+            labels = enumerate(g.node_labels[start : start + _ROW_CHUNK].tolist(), start)
+            yield "".join(f"nodelabel {nid} {y}\n" for nid, y in labels)
+    yield "".join(f"loop {nid}\n" for nid in sorted(g.self_loops))
 
 
 def write_atomically(path, pieces) -> None:
@@ -538,9 +550,143 @@ def write_atomically(path, pieces) -> None:
 def write_container(graphs, path, graph_ids=None) -> None:
     """Write the container text of ``graphs``, any iterable, ``_ROW_CHUNK`` rows at a time.
 
-    Graph ids default to ``0, 1, ...``; the file is written atomically.
+    Graph ids default to ``0, 1, ...``; the file is written atomically.  A
+    sequence of at least two batches of ``_BATCH`` graphs is formatted by
+    forked workers, one per usable CPU, into the same bytes.
     """
-    write_atomically(path, _container_pieces(graphs, graph_ids))
+    count, workers = _worker_plan(graphs, graph_ids)
+    if workers < 2:
+        write_atomically(path, _container_pieces(graphs, graph_ids))
+        return
+    with _forked_formatters(graphs, graph_ids, count, workers) as pieces:
+        write_atomically(path, pieces)
+
+
+_BATCH = 4  # graphs a worker formats whole before it hands their text over
+_FRAME = struct.Struct("<q")  # a piece of n > 0 bytes, 0 for a batch's end, -n for an error
+
+
+def _worker_plan(graphs, graph_ids) -> tuple[int, int]:
+    """The number of graphs to write and of workers to format them; under 2 means serial.
+
+    Only a sequence (``len`` and indexing) is split, one worker per usable
+    CPU and at most one per batch.  Python 3.12+ warns when a process running
+    more than one thread forks, so such a process writes serially there.
+    """
+    if not isinstance(graphs, Sequence) or not hasattr(os, "sched_getaffinity"):
+        return 0, 0
+    count = len(graphs)
+    if graph_ids is not None:  # zip stops at the shorter, as the serial path does
+        if not isinstance(graph_ids, Sequence):
+            return 0, 0
+        count = min(count, len(graph_ids))
+    workers = min(len(os.sched_getaffinity(0)), -(-count // _BATCH))
+    if sys.version_info >= (3, 12) and not _one_thread():
+        workers = 0
+    return count, workers
+
+
+def _one_thread() -> bool:
+    """Whether this process runs a single OS thread (numpy's BLAS may have started more)."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+@contextlib.contextmanager
+def _forked_formatters(graphs, graph_ids, count: int, workers: int):
+    """The container text of ``graphs[:count]`` in pieces, formatted by ``workers`` forked workers.
+
+    Worker ``w`` formats batches ``w, w + workers, ...``; the pieces of batch
+    ``b`` are read from worker ``b % workers`` in order.  Every worker is
+    killed and reaped on leaving.
+    """
+    sys.stdout.flush()  # text written before the fork is written once, by this process
+    batches = -(-count // _BATCH)
+    pids, pipes = [], []
+    try:
+        for first in range(workers):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            with open(write_end, "wb", buffering=0) as sink:
+                if (pid := os.fork()) == 0:
+                    mine = range(first, batches, workers)
+                    _format_batches(graphs, graph_ids, count, mine, sink, pipes)
+                pids.append(pid)
+        yield _read_batches(pipes, batches)
+    finally:
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
+def _format_batches(graphs, graph_ids, count: int, batches: range, sink, readers) -> None:
+    """A worker's life: format each of ``batches`` whole, then write its pieces to ``sink``.
+
+    A batch that fails is replaced by its exception, and the worker stops.
+    The worker leaves only through ``os._exit``, so nothing it inherited
+    (``finally`` blocks, buffered output, open files) runs or is flushed.
+    """
+    code = 1
+    try:
+        for reader in readers:  # were they open here, a write to a dead parent would block
+            reader.close()
+        for b in batches:
+            text = bytearray()
+            try:
+                for i in range(b * _BATCH, min(b * _BATCH + _BATCH, count)):
+                    gid = i if graph_ids is None else graph_ids[i]
+                    for piece in _block_pieces(gid, graphs[i]):
+                        if data := piece.encode("utf-8"):
+                            text += _FRAME.pack(len(data))
+                            text += data
+                text += _FRAME.pack(0)
+            except Exception as exc:
+                _write_all(sink, _error_frame(exc))
+                break
+            _write_all(sink, text)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _write_all(sink, data) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[sink.write(view) :]
+
+
+def _error_frame(exc: Exception) -> bytes:
+    """``exc`` pickled for the parent to raise; as a RuntimeError if it does not survive that."""
+    try:
+        data = pickle.dumps(exc)
+        pickle.loads(data)
+    except Exception:
+        data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+    return _FRAME.pack(-len(data)) + data
+
+
+def _read_batches(pipes, batches: int):
+    """The pieces of every batch in order, batch ``b`` read from ``pipes[b % len(pipes)]``."""
+    yield GRAPH_MAGIC + "\n"
+    for b in range(batches):
+        pipe = pipes[b % len(pipes)]
+        while size := _FRAME.unpack(_read_exactly(pipe, _FRAME.size))[0]:
+            data = _read_exactly(pipe, abs(size))
+            if size < 0:
+                raise pickle.loads(data)
+            yield data.decode("utf-8")
+
+
+def _read_exactly(pipe, size: int) -> bytes:
+    data = pipe.read(size)
+    if len(data) != size:
+        raise RuntimeError("a container formatting worker exited before its batch was written")
+    return data
 
 
 def format_family(family: LshFamily) -> str:

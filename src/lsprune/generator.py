@@ -15,6 +15,7 @@ which makes generation order-independent and parallel-safe.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,9 +131,15 @@ def generate_class_template(cfg: GeneratorConfig, class_index: int) -> ClassTemp
 
 
 def generate_sample(
-    cfg: GeneratorConfig, templates: list[ClassTemplate], sample_index: int
+    cfg: GeneratorConfig,
+    templates: Sequence[ClassTemplate] | Mapping[int, ClassTemplate],
+    sample_index: int,
 ) -> GeneratedSample:
-    """One dataset sample, a pure function of ``(cfg.seed, sample_index)``."""
+    """One dataset sample, a pure function of ``(cfg.seed, sample_index)``.
+
+    ``templates[c]`` is the template of class ``c``; only the sample's own
+    class is looked up.
+    """
     label = sample_index % cfg.num_classes
     tpl = templates[label]
     rng = np.random.default_rng(mix_seed(cfg.seed, _SAMPLE_STREAM, sample_index))
@@ -169,28 +176,38 @@ def generate_sample(
     )
 
 
-class _Dataset:
-    """The ``(graph, label)`` pairs of a dataset, generated one at a time on each iteration.
+class _Dataset(Sequence):
+    """The ``(graph, label)`` pairs of a dataset; item ``s`` generates sample ``s`` when asked.
 
-    Only the sample at hand is held, and each class template is built when
-    its class first comes up; ``len`` counts the samples without generating
-    them.
+    Only the sample at hand is held, and each class template is built when a
+    sample of its class first comes up in this process, so a forked worker
+    builds the templates it needs; ``len`` counts the samples without
+    generating them.  ``graphs()`` is the same dataset as graphs alone.
     """
 
-    def __init__(self, cfg: GeneratorConfig):
+    def __init__(self, cfg: GeneratorConfig, labelled: bool = True):
         self._cfg = cfg
+        self._labelled = labelled
+        self._templates: dict[int, ClassTemplate] = {}
 
     def __len__(self) -> int:
         return self._cfg.num_samples
 
-    def __iter__(self):
+    def __getitem__(self, s: int):
         cfg = self._cfg
-        templates: list[ClassTemplate] = []
-        for s in range(cfg.num_samples):
-            if s < cfg.num_classes:  # labels are round-robin: class s first comes up here
-                templates.append(generate_class_template(cfg, s))
-            sample = generate_sample(cfg, templates, s)
-            yield sample.graph, sample.label
+        s = range(cfg.num_samples)[s]
+        label = s % cfg.num_classes  # labels are round-robin
+        if label not in self._templates:
+            self._templates[label] = generate_class_template(cfg, label)
+        sample = generate_sample(cfg, self._templates, s)
+        return (sample.graph, sample.label) if self._labelled else sample.graph
+
+    def __iter__(self):
+        # not Sequence's default, which would end quietly at an IndexError from inside a sample
+        return map(self.__getitem__, range(len(self)))
+
+    def graphs(self) -> _Dataset:
+        return _Dataset(self._cfg, labelled=False)
 
 
 def generate_dataset(cfg: GeneratorConfig) -> _Dataset:

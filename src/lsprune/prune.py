@@ -172,8 +172,9 @@ def lsp_prune(
             picked_nbrs.reshape(-1),
         ]
     )
-    kept_idx = np.unique(picked_edges)
-    return _result(g, kept_idx, selections, t0)
+    kept = np.zeros(g.num_edges, dtype=bool)
+    kept[picked_edges.ravel()] = True
+    return _result(g, np.flatnonzero(kept), selections, t0)
 
 
 def random_prune(g: Graph, cfg: RandomPruneConfig) -> PruneResult:

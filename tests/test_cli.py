@@ -13,7 +13,7 @@ import lsprune.cli as cli
 from lsprune import write_container
 from lsprune.cli import main
 
-from util import random_graph, read_graphs
+from util import forked_workers, random_graph, read_graphs
 
 
 @pytest.fixture()
@@ -746,28 +746,33 @@ def _failing_at_sample(monkeypatch, at):
     monkeypatch.setattr(generator, "generate_sample", faulty)
 
 
-def test_generate_failure_leaves_no_output(tmp_path, capsys, monkeypatch):
+def test_generate_failure_leaves_no_output(tmp_path, capsys, monkeypatch, writer):
     _failing_at_sample(monkeypatch, 3)
+    forks = writer(2)  # five samples make two batches: formatted by forked workers
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     code, _, err = run(["generate", "--output", str(out_dir / "d.lspg"), "--num-samples", "5"]
                        + _FIXED_SIZE, capsys)
     assert code == 3 and "sample 3 failed" in err
     assert list(out_dir.iterdir()) == []  # no container and no temporary file
+    assert len(forks) == forked_workers(2, 4, 5)
 
 
-def test_generate_failure_leaves_an_existing_output_as_it_was(tmp_path, capsys, monkeypatch):
+def test_generate_failure_leaves_an_existing_output_as_it_was(tmp_path, capsys, monkeypatch,
+                                                              writer):
     out = tmp_path / "d.lspg"
     code, _, _ = run(["generate", "--output", str(out), "--num-samples", "2"] + _FIXED_SIZE,
                      capsys)
     assert code == 0
     before = out.read_bytes()
     _failing_at_sample(monkeypatch, 3)
+    forks = writer(2)
     code, _, _ = run(["generate", "--output", str(out), "--num-samples", "5"] + _FIXED_SIZE,
                      capsys)
     assert code == 3
     assert out.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.lspg"]
+    assert len(forks) == forked_workers(2, 4, 5)
 
 
 def test_outputs_to_dev_null(tmp_path, sample_container, capsys):
@@ -877,7 +882,8 @@ def test_bad_value_fails_alike_by_flag_and_by_config_key(tmp_path, capsys, comma
 @pytest.mark.parametrize("command,row", _rows())
 def test_good_value_resolves_alike_by_flag_and_by_config_key(tmp_path, command, row):
     key, typ, _default = row
-    value = {int: "3", float: "0.5", str: "some text", bool: "true"}.get(typ) or typ[-1]
+    value = {int: "3", float: "0.5", str: "some text", bool: "true", list[int]: "1,2",
+             list[float]: "0.5,1.0"}.get(typ) or typ[-1]
     schema = cli._COMMANDS[command][0]
     required = _as_flags(_required(command, tmp_path, skip=key))
     flag = [_flag(key)] if typ is bool else [_flag(key), value]
@@ -968,3 +974,47 @@ def test_echo_replays_through_config(tmp_path, sample_container, capsys, command
     assert code == 0
     assert echo_again == echo.replace(str(first), str(replay))
     assert replay.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("key,text,kinds", [("depths", "1,a", "integers"),
+                                            ("fractions", "0.5,x", "numbers")])
+def test_bad_stats_list_is_named_before_the_echo(tmp_path, sample_container, capsys, key, text,
+                                                 kinds):
+    out = tmp_path / "c.tsv"
+    code, stdout, err = run(["stats", "--input", str(sample_container), "--output", str(out),
+                             _flag(key), text], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == f"usage-error: {key} must be a comma-separated list of {kinds}, got {text!r}\n"
+    assert not out.exists()
+
+
+def test_stats_echo_of_a_list_replays(tmp_path, sample_container, capsys):
+    first, replay = tmp_path / "first.tsv", tmp_path / "replay.tsv"
+    code, echo, _ = run(["stats", "--input", str(sample_container), "--output", str(first),
+                         "--depths", " 1,,2", "--fractions", "0.50, 1e0"], capsys)
+    assert code == 0
+    assert "depths = 1,2\nfractions = 0.5,1.0\n" in echo
+    (tmp_path / "echo.cfg").write_text(echo)
+    code, _, _ = run(["stats", "--config", str(tmp_path / "echo.cfg"), "--output", str(replay)],
+                     capsys)
+    assert code == 0
+    assert replay.read_bytes() == first.read_bytes()
+
+
+def test_bad_boolean_config_value_names_its_key(tmp_path, sample_container, capsys):
+    path = _config(tmp_path, [("input", sample_container), ("output", tmp_path / "o.lspg"),
+                              ("method", "lsp-t"), ("zscore", "maybe")])
+    code, stdout, err = run(["prune", "--config", path], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == "usage-error: zscore must be a boolean, got 'maybe'\n"
+
+
+@pytest.mark.parametrize("text", [" d.lspg", "d.lspg ", "\td.lspg"])
+def test_string_option_with_outer_whitespace_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                            text):
+    # a config file strips its values, so the echo of such a value would not replay
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(["generate", "--output", text, "--num-samples", "1"], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == f"usage-error: output must not begin or end with whitespace, got {text!r}\n"
+    assert list(tmp_path.iterdir()) == []

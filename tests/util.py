@@ -8,6 +8,7 @@ vectorized paths; tests compare the two.
 from __future__ import annotations
 
 import hashlib
+import sys
 import warnings
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from lsprune.container import (
     ContainerFormatError,
     ParsedContainer,
     _container_pieces,
+    _one_thread,
 )
 from lsprune.hashing import LSP_T, LshFamily, LshFamilyConfig
 
@@ -32,6 +34,14 @@ def read_graphs(path) -> list[Graph]:
 def format_container(graphs, graph_ids=None) -> str:
     """The container text ``write_container`` writes for ``graphs``."""
     return "".join(_container_pieces(graphs, graph_ids))
+
+
+def forked_workers(cpus: int, batch: int, graphs: int) -> int:
+    """How many workers ``write_container`` forks for a list of ``graphs`` graphs; 0 if serial."""
+    workers = min(cpus, -(-graphs // batch))
+    if workers < 2 or (sys.version_info >= (3, 12) and not _one_thread()):
+        return 0
+    return workers
 
 
 def selection_lists(result) -> dict[int, list[tuple[int, int]]]:
