@@ -1,116 +1,16 @@
-"""Locality-sensitive MinHash edge pruning for attributed graphs."""
+"""Locality-sensitive MinHash edge pruning for attributed graphs.
 
-from .analysis import (
-    NeighborhoodStats,
-    VarianceCurve,
-    bernoulli_edge_pruner,
-    bernoulli_thinning_variance,
-    jaccard_locality,
-    khop_sizes,
-    neighborhood_stats,
-    neighborhood_variance_curve,
-    variance_scaling_check,
-)
-from .attrs import (
-    CANONICAL,
-    CENTER_FIRST,
-    CONSTRUCTION_MODES,
-    ENDPOINT_ORDERS,
-    NODE_AND_EDGE,
-    NODE_ONLY,
-    RAW_EDGE,
-    EdgeAttrTable,
-    build_edge_attrs,
-    embed_scalar_attrs,
-    embedding_table,
-)
-from .container import (
-    ContainerFormatError,
-    iter_container,
-    parse_config_file,
-    parse_container_detailed,
-    parse_family,
-    write_container,
-    write_family,
-)
-from .generator import (
-    ClassTemplate,
-    GeneratedSample,
-    GeneratorConfig,
-    generate_class_template,
-    generate_dataset,
-    generate_sample,
-)
-from .graph import AdjacencyView, Graph, GraphStructureError, build_adjacency
-from .hashing import (
-    LSP_P,
-    LSP_T,
-    LshFamily,
-    LshFamilyConfig,
-    collision_rate,
-)
-from .prune import (
-    PruneResult,
-    PruneStats,
-    RandomPruneConfig,
-    lsp_prune,
-    prune_dataset,
-    random_prune,
-    resolve_attr_mode,
-)
-from .seeding import mix_seed
+The top level holds the library the README documents; everything else is
+imported from its submodule (``lsprune.analysis``, ``lsprune.generator``, ...).
+"""
+
+from .attrs import build_edge_attrs, embed_scalar_attrs
+from .container import iter_container, parse_container_detailed, write_container
+from .graph import Graph, build_adjacency
+from .hashing import LshFamily, LshFamilyConfig
+from .prune import lsp_prune
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdjacencyView",
-    "CANONICAL",
-    "CENTER_FIRST",
-    "CONSTRUCTION_MODES",
-    "ClassTemplate",
-    "ContainerFormatError",
-    "EdgeAttrTable",
-    "ENDPOINT_ORDERS",
-    "GeneratedSample",
-    "GeneratorConfig",
-    "Graph",
-    "GraphStructureError",
-    "LSP_P",
-    "LSP_T",
-    "LshFamily",
-    "LshFamilyConfig",
-    "NODE_AND_EDGE",
-    "NODE_ONLY",
-    "NeighborhoodStats",
-    "PruneResult",
-    "PruneStats",
-    "RAW_EDGE",
-    "RandomPruneConfig",
-    "VarianceCurve",
-    "bernoulli_edge_pruner",
-    "bernoulli_thinning_variance",
-    "build_adjacency",
-    "build_edge_attrs",
-    "collision_rate",
-    "embed_scalar_attrs",
-    "embedding_table",
-    "generate_class_template",
-    "generate_dataset",
-    "generate_sample",
-    "iter_container",
-    "jaccard_locality",
-    "khop_sizes",
-    "lsp_prune",
-    "mix_seed",
-    "neighborhood_stats",
-    "neighborhood_variance_curve",
-    "parse_config_file",
-    "parse_container_detailed",
-    "parse_family",
-    "prune_dataset",
-    "random_prune",
-    "resolve_attr_mode",
-    "variance_scaling_check",
-    "write_container",
-    "write_family",
-]
+# the names imported above; a submodule is not a top-level name
+__all__ = [name for name, value in globals().items() if name[0] != "_" and callable(value)]

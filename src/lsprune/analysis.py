@@ -104,7 +104,6 @@ class NeighborhoodStats:
     depths: tuple[int, ...]
     counts: np.ndarray  # (len(depths), num_nodes)
     variances: np.ndarray  # (len(depths),)
-    kept_fraction: float
 
 
 def _check_depths(depths) -> tuple[int, ...]:
@@ -114,7 +113,7 @@ def _check_depths(depths) -> tuple[int, ...]:
     return depths
 
 
-def neighborhood_stats(g: Graph, depths, kept_fraction: float = 1.0) -> NeighborhoodStats:
+def neighborhood_stats(g: Graph, depths) -> NeighborhoodStats:
     """Compute k-hop sizes and variances for several depths in one sweep."""
     depths = _check_depths(depths)
     counts = _khop_counts(g, depths)
@@ -122,7 +121,6 @@ def neighborhood_stats(g: Graph, depths, kept_fraction: float = 1.0) -> Neighbor
         depths=depths,
         counts=counts,
         variances=counts.var(axis=1) if g.num_nodes else np.zeros(len(depths)),
-        kept_fraction=kept_fraction,
     )
 
 
@@ -133,7 +131,6 @@ class VarianceCurve:
     fractions: tuple[float, ...]
     depths: tuple[int, ...]
     variances: np.ndarray  # (len(fractions), len(depths))
-    trials: int
 
 
 PruneFn = Callable[[Graph, float, int], Graph]
@@ -190,9 +187,9 @@ def neighborhood_variance_curve(
         acc = np.zeros(len(depths))
         for t in range(trials):
             pruned = pruner(g, fraction, t)
-            acc += neighborhood_stats(pruned, depths, kept_fraction=fraction).variances
+            acc += neighborhood_stats(pruned, depths).variances
         table[fi] = acc / trials
-    return VarianceCurve(fractions=fractions, depths=depths, variances=table, trials=trials)
+    return VarianceCurve(fractions=fractions, depths=depths, variances=table)
 
 
 def variance_scaling_check(degrees, p: float) -> tuple[float, float]:

@@ -149,33 +149,25 @@ def edge_attr_dim(g: Graph, mode: str) -> int:
     return {NODE_ONLY: 2 * q, NODE_AND_EDGE: 2 * q + d_e, RAW_EDGE: d_e}[mode]
 
 
-def embedding_table(m: int, seed: int) -> np.ndarray:
-    """Seeded ``m x m`` embedding table for scalar attributes in ``[0, m)``.
-
-    Entries are i.i.d. standard normal, filled column-major, so column ``r``
-    consists of draws ``m*r .. m*r + m - 1`` of the stream.  Deterministic
-    given ``(seed, m)``.
-    """
-    if m < 1:
-        raise ValueError(f"embedding table size must be >= 1, got {m}")
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(m * m).reshape((m, m), order="F")
-
-
 def embed_scalar_attrs(values, m: int, seed: int) -> np.ndarray:
-    """Map scalar attribute codes to embedding rows.
+    """Map scalar attribute codes to rows of a seeded ``m x m`` embedding table.
 
-    Row ``i`` of the result is column ``values[i]`` of the seeded table, so
-    equal codes map to equal vectors.
+    The table's entries are i.i.d. standard normal, filled column-major, so
+    column ``r`` consists of draws ``m*r .. m*r + m - 1`` of the stream of
+    ``np.random.default_rng(seed)``.  Row ``i`` of the result is column
+    ``values[i]``, so equal codes map to equal vectors.
 
     Args:
         values: Integer codes, each in ``[0, m)``.
         m: Number of distinct codes (table size).
         seed: Table seed.
     """
+    if m < 1:
+        raise ValueError(f"embedding table size must be >= 1, got {m}")
     vals = np.asarray(values, dtype=np.int64)
     if vals.size and (vals.min() < 0 or vals.max() >= m):
         bad = vals[(vals < 0) | (vals >= m)][0]
         raise ValueError(f"scalar attribute {bad} outside [0, {m})")
-    table = embedding_table(m, seed)
-    return table[:, vals].T.copy()
+    # the stream in rows of m is the table transposed: its row r is column r of the table
+    columns = np.random.default_rng(seed).standard_normal(m * m).reshape(m, m)
+    return columns[vals]

@@ -46,7 +46,7 @@ from .container import (
 from .generator import GeneratorConfig, generate_dataset
 from .graph import GraphStructureError
 from .hashing import DEFAULT_K, DEFAULT_L, DEFAULT_M, LshFamily, LshFamilyConfig
-from .prune import RandomPruneConfig, prune_dataset, resolve_attr_mode
+from .prune import GraphError, RandomPruneConfig, prune_dataset, resolve_attr_mode
 
 METHODS = ("lsp-t", "lsp-p", "random")
 
@@ -83,9 +83,11 @@ def _value(key: str, typ, text: str):
         if text.lower() in _BOOLS:
             return _BOOLS[text.lower()]
         raise UsageError(f"{key} must be a boolean, got {text!r}")
-    if typ is str:  # a config file strips its values, so the echo could not replay these
+    if typ is str:  # a config file strips its values and splits lines: the echo could not replay
         if text != text.strip():
             raise UsageError(f"{key} must not begin or end with whitespace, got {text!r}")
+        if len(text.splitlines()) > 1:
+            raise UsageError(f"{key} must not contain a line break, got {text!r}")
         return text
     if typ in (_INTS, _FLOATS):  # empty items are skipped
         (item,) = typ.__args__
@@ -212,9 +214,7 @@ def _cmd_prune(cfg) -> int:
             random_cfg = RandomPruneConfig(keep_probability=cfg["p"], seed=cfg["seed"])
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        _echo(rows, cfg)
-        results = prune_dataset(graphs, random_cfg=random_cfg)
-        family = None
+        family, method_args = None, {"random_cfg": random_cfg}
     else:
         attr_mode = cfg["attr_mode"]
         if attr_mode == "auto":
@@ -246,14 +246,13 @@ def _cmd_prune(cfg) -> int:
             if dim != d:
                 detail = f"family dimension {d} does not match attributes of dimension {dim}"
                 raise _graph_error(parsed, idx, detail)
-        _echo(rows, cfg)
-        results = prune_dataset(
-            graphs,
-            family=family,
-            attr_mode=attr_mode,
-            endpoint_order=cfg["endpoint_order"],
-            zscore=cfg["zscore"],
-        )
+        method_args = {"family": family, "attr_mode": attr_mode,
+                       "endpoint_order": cfg["endpoint_order"], "zscore": cfg["zscore"]}
+    _echo(rows, cfg)
+    try:
+        results = prune_dataset(graphs, **method_args)
+    except GraphError as exc:
+        raise _graph_error(parsed, exc.index, exc.detail) from None
 
     out = cfg["output"]
     write_container([r.graph for r in results], out, graph_ids=parsed.graph_ids)
@@ -303,7 +302,7 @@ def _cmd_generate(cfg) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     samples = generate_dataset(gen_cfg)  # generated as they are written, by the writer's workers
-    write_container(samples.graphs(), cfg["output"])
+    write_container(samples, cfg["output"])
     return 0
 
 

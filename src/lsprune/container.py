@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import Graph
-from .hashing import LSP_P, LSP_T, LshFamily, LshFamilyConfig
+from .hashing import LSP_P, LshFamily, LshFamilyConfig
 
 GRAPH_MAGIC = "lspg 1"
 FAMILY_MAGIC = "lsph 1"
@@ -284,43 +284,32 @@ def _parse_block(scan: _Scanner, header: list[str], header_line: int):
             node_attrs[ids] = node_values
     id_map = None if nodes.dense else dict(zip(ids.tolist(), range(num_nodes)))
 
-    labels: dict[int, int] = {}
-    while (item := scan.peek()) is not None and item[1][0] == "nodelabel":
-        line, tokens = scan.next()
-        if len(tokens) != 3:
-            raise ContainerFormatError("nodelabel line must be 'nodelabel <id> <int>'", line)
-        _, nid = _resolve(tokens[1], "nodelabel id", line, nodes)
-        if nid in labels:
-            raise ContainerFormatError(f"duplicate nodelabel for node {tokens[1]}", line)
-        labels[nid] = _want_int(tokens[2], "node label", line)
-        if labels[nid] not in _INT64:
-            raise ContainerFormatError(f"node label {labels[nid]} does not fit in 64 bits", line)
-    if labels and len(labels) != num_nodes:
-        raise ContainerFormatError(
-            f"count mismatch: {len(labels)} nodelabel lines for {num_nodes} nodes "
-            "(label all nodes or none)",
-            line,
-        )
-    node_labels = None
-    if labels:
-        node_labels = np.array([labels[i] for i in range(num_nodes)], dtype=np.int64)
-
-    loops: set[int] = set()
-    while (item := scan.peek()) is not None and item[1][0] == "loop":
-        line, tokens = scan.next()
-        if len(tokens) != 2:
-            raise ContainerFormatError("loop line must be 'loop <id>'", line)
-        _, nid = _resolve(tokens[1], "loop id", line, nodes)
-        if nid in loops:
-            raise ContainerFormatError(f"duplicate loop for node {tokens[1]}", line)
-        loops.add(nid)
+    labels: dict[int, int] = {}  # dense index -> label
+    loops: dict[int, None] = {}
+    for tag, usage, seen in (("nodelabel", "<id> <int>", labels), ("loop", "<id>", loops)):
+        while (item := scan.peek()) is not None and item[1][0] == tag:
+            line, tokens = scan.next()
+            if len(tokens) != 1 + len(usage.split()):
+                raise ContainerFormatError(f"{tag} line must be '{tag} {usage}'", line)
+            _, nid = _resolve(tokens[1], f"{tag} id", line, nodes)
+            if nid in seen:
+                raise ContainerFormatError(f"duplicate {tag} for node {tokens[1]}", line)
+            seen[nid] = None if tag == "loop" else _want_int(tokens[2], "node label", line)
+            if tag == "nodelabel" and seen[nid] not in _INT64:
+                raise ContainerFormatError(f"node label {seen[nid]} does not fit in 64 bits", line)
+        if len(labels) not in (0, num_nodes):
+            raise ContainerFormatError(
+                f"count mismatch: {len(labels)} nodelabel lines for {num_nodes} nodes "
+                "(label all nodes or none)",
+                line,
+            )
 
     graph = Graph(
         num_nodes=num_nodes,
         edges=edges,
         node_attrs=node_attrs,
         edge_attrs=edge_values if edge_dim > 0 else None,
-        node_labels=node_labels,
+        node_labels=[labels[i] for i in range(num_nodes)] if labels else None,
         graph_label=graph_label,
         self_loops=frozenset(loops),
     )
@@ -527,17 +516,15 @@ def write_atomically(path, pieces) -> None:
     written directly, never renamed over.  OS errors name ``path``.
     """
     target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
-        return
+    direct = os.path.exists(target) and not os.path.isfile(target)
     tmp = f"{target}.tmp{os.getpid()}"
     made = False
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
-            made = True
+        with open(path if direct else tmp, "w" if direct else "x", encoding="utf-8") as fh:
+            made = not direct
             fh.writelines(pieces)
-        os.replace(tmp, target)
+        if made:
+            os.replace(tmp, target)
     except BaseException as exc:
         if made:
             with contextlib.suppress(FileNotFoundError):
@@ -692,14 +679,13 @@ def _read_exactly(pipe, size: int) -> bytes:
 def format_family(family: LshFamily) -> str:
     """Serialize family parameters so a run can be replayed bit-exactly."""
     cfg = family.config
-    vectors = family.thresholds if cfg.variant == LSP_T else family.directions
     out = [
         FAMILY_MAGIC,
         f"family {cfg.variant} {cfg.k} {cfg.d} {cfg.m} {float(cfg.l)!r} {cfg.master_seed}",
     ]
     # Python floats, not numpy scalars; repr of a float round-trips it
-    out += [f"w {i} {' '.join(map(repr, row))}" for i, row in enumerate(vectors.tolist())]
-    if cfg.variant == LSP_P:
+    out += [f"w {i} {' '.join(map(repr, row))}" for i, row in enumerate(family.vectors.tolist())]
+    if family.offsets is not None:
         out += [f"b {i} {b!r}" for i, b in enumerate(family.offsets.tolist())]
     out.append("")
     return "\n".join(out)
@@ -709,17 +695,20 @@ def write_family(family: LshFamily, path) -> None:
     write_atomically(path, [format_family(family)])
 
 
-def _function_line(scan: _Scanner, tag: str, i: int, k: int, line: int):
-    """The next family line, which must read ``<tag> <i> ...``."""
-    item = scan.next()
-    if item is None or item[1][0] != tag:
-        raise ContainerFormatError(f"count mismatch: expected {k} '{tag}' lines", line)
-    line, tokens = item
-    if len(tokens) < 2:
-        raise ContainerFormatError(f"{tag} line needs a function index", line)
-    if _want_int(tokens[1], "function index", line) != i:
-        raise ContainerFormatError(f"expected '{tag} {i}', got '{tag} {tokens[1]}'", line)
-    return line, tokens
+def _function_lines(scan: _Scanner, tag: str, k: int, width: int, what: str, line: int):
+    """The ``k`` family lines ``<tag> <i> <value>...``: a ``(k, width)`` array, the last line."""
+    rows = []
+    for i in range(k):
+        item = scan.next()
+        if item is None or item[1][0] != tag:
+            raise ContainerFormatError(f"count mismatch: expected {k} '{tag}' lines", line)
+        line, tokens = item
+        if len(tokens) < 2:
+            raise ContainerFormatError(f"{tag} line needs a function index", line)
+        if _want_int(tokens[1], "function index", line) != i:
+            raise ContainerFormatError(f"expected '{tag} {i}', got '{tag} {tokens[1]}'", line)
+        rows.append(_want_floats(tokens[2:], width, what, line))
+    return np.array(rows), line
 
 
 def parse_family(path) -> LshFamily:
@@ -747,20 +736,11 @@ def parse_family(path) -> LshFamily:
         except ValueError as exc:
             raise ContainerFormatError(str(exc), line) from None
 
-        vectors = []
-        for i in range(k):
-            line, tokens = _function_line(scan, "w", i, k, line)
-            vectors.append(_want_floats(tokens[2:], d, "parameter", line))
-        vectors = np.array(vectors)
-
-        if variant == LSP_T:
-            return LshFamily(config=cfg, thresholds=vectors)
-
-        offsets = []
-        for i in range(k):
-            line, tokens = _function_line(scan, "b", i, k, line)
-            offsets.append(_want_floats(tokens[2:], 1, "offset", line)[0])
-        return LshFamily(config=cfg, directions=vectors, offsets=np.array(offsets))
+        vectors, line = _function_lines(scan, "w", k, d, "parameter", line)
+        offsets = None
+        if variant == LSP_P:
+            offsets = _function_lines(scan, "b", k, 1, "offset", line)[0][:, 0]
+        return LshFamily(config=cfg, vectors=vectors, offsets=offsets)
 
 
 def parse_pairs(path) -> np.ndarray:
@@ -814,9 +794,8 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def format_config(pairs) -> str:
-    """Render key/value pairs as a config file (the resolved-config echo)."""
-    items = pairs.items() if isinstance(pairs, dict) else pairs
-    return "\n".join(f"{k} = {v}" for k, v in items) + "\n"
+    """Render ``(key, value)`` pairs as a config file (the resolved-config echo)."""
+    return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
 
 
 def format_tsv(header, rows) -> str:

@@ -64,10 +64,13 @@ class GeneratorConfig:
             )
         if self.node_dim < 0 or self.edge_dim < 0:
             raise ValueError("attribute dimensions must be >= 0")
-        for name in ("connectivity_rate", "node_removal_probability"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
+        if not 0.0 <= self.connectivity_rate <= 1.0:
+            raise ValueError(f"connectivity_rate must be in [0, 1], got {self.connectivity_rate}")
+        # at 1 every node would be removed, and the sample's mask redrawn forever
+        if not 0.0 <= self.node_removal_probability < 1.0:
+            raise ValueError(
+                f"node_removal_probability must be in [0, 1), got {self.node_removal_probability}"
+            )
         # zero std is allowed: it is the exact noise-free limit
         for name in ("node_centers_std", "edge_centers_std", "node_noise_std", "edge_noise_std"):
             s = getattr(self, name)
@@ -85,8 +88,6 @@ class ClassTemplate:
     rows align with them.
     """
 
-    class_index: int
-    num_nodes: int
     edges: np.ndarray
     node_centers: np.ndarray
     edge_centers: np.ndarray
@@ -94,8 +95,7 @@ class ClassTemplate:
 
 @dataclass(frozen=True)
 class GeneratedSample:
-    graph: Graph
-    label: int
+    graph: Graph  # labelled with its class in graph_label
     template_nodes: np.ndarray  # surviving template node indices, ascending
     num_initial_nodes: int  # node count before removal (first n template nodes)
 
@@ -122,11 +122,7 @@ def generate_class_template(cfg: GeneratorConfig, class_index: int) -> ClassTemp
     node_centers = rng.normal(0.0, cfg.node_centers_std, size=(n, cfg.node_dim))
     edge_centers = rng.normal(0.0, cfg.edge_centers_std, size=(len(edges), cfg.edge_dim))
     return ClassTemplate(
-        class_index=class_index,
-        num_nodes=n,
-        edges=edges.astype(np.int64),
-        node_centers=node_centers,
-        edge_centers=edge_centers,
+        edges=edges.astype(np.int64), node_centers=node_centers, edge_centers=edge_centers
     )
 
 
@@ -171,45 +167,38 @@ def generate_sample(
         edge_attrs=edge_attrs[edge_alive],
         graph_label=label,
     )
-    return GeneratedSample(
-        graph=graph, label=label, template_nodes=kept_nodes, num_initial_nodes=n
-    )
+    return GeneratedSample(graph=graph, template_nodes=kept_nodes, num_initial_nodes=n)
 
 
 class _Dataset(Sequence):
-    """The ``(graph, label)`` pairs of a dataset; item ``s`` generates sample ``s`` when asked.
+    """The graphs of a dataset, labelled; item ``s`` generates sample ``s`` when asked.
 
     Only the sample at hand is held, and each class template is built when a
     sample of its class first comes up in this process, so a forked worker
     builds the templates it needs; ``len`` counts the samples without
-    generating them.  ``graphs()`` is the same dataset as graphs alone.
+    generating them.
     """
 
-    def __init__(self, cfg: GeneratorConfig, labelled: bool = True):
+    def __init__(self, cfg: GeneratorConfig):
         self._cfg = cfg
-        self._labelled = labelled
         self._templates: dict[int, ClassTemplate] = {}
 
     def __len__(self) -> int:
         return self._cfg.num_samples
 
-    def __getitem__(self, s: int):
+    def __getitem__(self, s: int) -> Graph:
         cfg = self._cfg
         s = range(cfg.num_samples)[s]
         label = s % cfg.num_classes  # labels are round-robin
         if label not in self._templates:
             self._templates[label] = generate_class_template(cfg, label)
-        sample = generate_sample(cfg, self._templates, s)
-        return (sample.graph, sample.label) if self._labelled else sample.graph
+        return generate_sample(cfg, self._templates, s).graph
 
     def __iter__(self):
         # not Sequence's default, which would end quietly at an IndexError from inside a sample
         return map(self.__getitem__, range(len(self)))
 
-    def graphs(self) -> _Dataset:
-        return _Dataset(self._cfg, labelled=False)
 
-
-def generate_dataset(cfg: GeneratorConfig) -> _Dataset:
-    """The dataset as ``(graph, label)`` pairs in sample order, generated lazily."""
+def generate_dataset(cfg: GeneratorConfig) -> Sequence[Graph]:
+    """The dataset's graphs in sample order, generated lazily; ``graph_label`` is the class."""
     return _Dataset(cfg)

@@ -92,32 +92,20 @@ class Graph:
                 raise GraphStructureError(f"duplicate edge ({u}, {v})")
         object.__setattr__(self, "edges", _freeze(edges))
 
-        node_attrs = self.node_attrs
-        if node_attrs is not None:
-            node_attrs = np.asarray(node_attrs, dtype=np.float64).copy()
-            if node_attrs.ndim != 2 or node_attrs.shape[0] != self.num_nodes:
+        for name, dtype, ndim, count, what in (
+            ("node_attrs", np.float64, 2, self.num_nodes, "nodes"),
+            ("edge_attrs", np.float64, 2, len(edges), "edges"),
+            ("node_labels", np.int64, 1, self.num_nodes, "nodes"),
+        ):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            value = np.asarray(value, dtype=dtype).copy()
+            if value.ndim != ndim or value.shape[0] != count:
                 raise GraphStructureError(
-                    f"node_attrs shape {node_attrs.shape} does not match {self.num_nodes} nodes"
+                    f"{name} shape {value.shape} does not match {count} {what}"
                 )
-            object.__setattr__(self, "node_attrs", _freeze(node_attrs))
-
-        edge_attrs = self.edge_attrs
-        if edge_attrs is not None:
-            edge_attrs = np.asarray(edge_attrs, dtype=np.float64).copy()
-            if edge_attrs.ndim != 2 or edge_attrs.shape[0] != len(edges):
-                raise GraphStructureError(
-                    f"edge_attrs shape {edge_attrs.shape} does not match {len(edges)} edges"
-                )
-            object.__setattr__(self, "edge_attrs", _freeze(edge_attrs))
-
-        node_labels = self.node_labels
-        if node_labels is not None:
-            node_labels = np.asarray(node_labels, dtype=np.int64).copy()
-            if node_labels.shape != (self.num_nodes,):
-                raise GraphStructureError(
-                    f"node_labels shape {node_labels.shape} does not match {self.num_nodes} nodes"
-                )
-            object.__setattr__(self, "node_labels", _freeze(node_labels))
+            object.__setattr__(self, name, _freeze(value))
 
         loops = frozenset(int(u) for u in self.self_loops)
         for u in loops:

@@ -21,7 +21,8 @@ serialized to a sidecar file (see :mod:`lsprune.container`).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,8 +62,8 @@ class LshFamilyConfig:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if not 2 <= self.m <= 2**63 or self.m & (self.m - 1):
             raise ValueError(f"m must be a power of two in [2, 2**63], got {self.m}")
-        if not self.l > 0:
-            raise ValueError(f"l must be > 0, got {self.l}")
+        if not 0 < self.l < math.inf:
+            raise ValueError(f"l must be > 0 and finite, got {self.l}")
         if self.master_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.master_seed}")
 
@@ -71,46 +72,39 @@ class LshFamilyConfig:
 class LshFamily:
     """A realized family of ``k`` hash functions.
 
-    ``thresholds`` holds the per-function comparison vectors for ``lsp_t``;
-    ``directions`` and ``offsets`` the projection parameters for ``lsp_p``.
-    Parameters are immutable after construction and hashing is pure, so a
-    family can be shared freely across workers.
+    ``vectors[i]`` is function ``i``'s threshold vector (``lsp_t``) or
+    projection direction (``lsp_p``), the ``w i`` line of a sidecar;
+    ``offsets`` holds the ``lsp_p`` projection offsets.  Parameters are
+    immutable after construction and hashing is pure, so a family can be
+    shared freely across workers.
     """
 
     config: LshFamilyConfig
-    thresholds: np.ndarray | None = None
-    directions: np.ndarray | None = None
+    vectors: np.ndarray
     offsets: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         cfg = self.config
-        if cfg.variant == LSP_T:
-            if self.thresholds is None or self.thresholds.shape != (cfg.k, cfg.d):
-                raise ValueError("lsp_t family needs thresholds of shape (k, d)")
-        else:
-            if self.directions is None or self.directions.shape != (cfg.k, cfg.d):
-                raise ValueError("lsp_p family needs directions of shape (k, d)")
-            if self.offsets is None or self.offsets.shape != (cfg.k,):
-                raise ValueError("lsp_p family needs offsets of shape (k,)")
+        offsets = None if self.offsets is None else self.offsets.shape
+        want = (cfg.k,) if cfg.variant == LSP_P else None  # an lsp_t family has no offsets
+        if self.vectors.shape != (cfg.k, cfg.d) or offsets != want:
+            raise ValueError("a family needs vectors of shape (k, d), and lsp_p offsets of (k,)")
 
     @classmethod
     def from_config(cls, cfg: LshFamilyConfig) -> "LshFamily":
-        """Generate parameters from per-function sub-seeds of the master seed."""
-        if cfg.variant == LSP_T:
-            thresholds = np.stack(
-                [
-                    np.random.default_rng(mix_seed(cfg.master_seed, i)).standard_normal(cfg.d)
-                    for i in range(cfg.k)
-                ]
-            )
-            return cls(config=cfg, thresholds=thresholds)
-        directions = np.empty((cfg.k, cfg.d))
-        offsets = np.empty(cfg.k)
+        """Generate parameters from per-function sub-seeds of the master seed.
+
+        Function ``i`` draws its vector first from its own generator, then,
+        under ``lsp_p``, its offset.
+        """
+        vectors = np.empty((cfg.k, cfg.d))
+        offsets = np.empty(cfg.k) if cfg.variant == LSP_P else None
         for i in range(cfg.k):
             rng = np.random.default_rng(mix_seed(cfg.master_seed, i))
-            directions[i] = rng.standard_normal(cfg.d)
-            offsets[i] = rng.uniform(0.0, cfg.l)
-        return cls(config=cfg, directions=directions, offsets=offsets)
+            vectors[i] = rng.standard_normal(cfg.d)
+            if offsets is not None:
+                offsets[i] = rng.uniform(0.0, cfg.l)
+        return cls(config=cfg, vectors=vectors, offsets=offsets)
 
     def bucket_matrix(self, rows: np.ndarray) -> np.ndarray:
         """``(k, n)`` bucket matrix of ``n`` row vectors under all functions.
@@ -120,11 +114,11 @@ class LshFamily:
         cfg = self.config
         rows = _check_rows(rows, cfg.d)
         if cfg.variant == LSP_T:
-            return np.stack([_signature_buckets(rows > t, cfg.m) for t in self.thresholds])
+            return np.stack([_signature_buckets(rows > t, cfg.m) for t in self.vectors])
         out = np.empty((cfg.k, len(rows)), dtype=np.int64)
         for i in range(cfg.k):
             with np.errstate(over="ignore"):  # an overflow to inf fails the range check
-                bins = np.floor((rows @ self.directions[i] + self.offsets[i]) / cfg.l)
+                bins = np.floor((rows @ self.vectors[i] + self.offsets[i]) / cfg.l)
             if not ((bins >= -(2.0**63)) & (bins < 2.0**63)).all():
                 raise ValueError(
                     f"lsp_p projection bucket outside int64 under function {i}; "
@@ -176,20 +170,3 @@ def _signature_buckets(bits: np.ndarray, m: int) -> np.ndarray:
     heads = np.frombuffer(digests, dtype=">u8")  # first 8 digest bytes, big-endian
     return (heads % m).astype(np.int64)[inverse]
 
-
-def collision_rate(cfg: LshFamilyConfig, pairs, trials: int) -> np.ndarray:
-    """Empirical collision rate of each ``(x, y)`` pair over fresh functions.
-
-    Draws ``trials`` functions from ``cfg.master_seed`` (each with its own
-    sub-seed) and returns, per pair, the fraction under which both vectors
-    land in the same bucket.  Callers aggregate the rates by pair distance to
-    check that nearby pairs collide more often than distant ones.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    xs = np.stack([np.asarray(x, dtype=np.float64) for x, _ in pairs])
-    ys = np.stack([np.asarray(y, dtype=np.float64) for _, y in pairs])
-    probe = LshFamily.from_config(replace(cfg, k=trials))
-    hx = probe.bucket_matrix(xs)
-    hy = probe.bucket_matrix(ys)
-    return (hx == hy).mean(axis=0)

@@ -26,6 +26,14 @@ from .graph import AdjacencyView, Graph, build_adjacency
 from .hashing import LshFamily
 
 
+class GraphError(ValueError):
+    """Graph ``index`` of a dataset failed with ``detail``."""
+
+    def __init__(self, index: int, detail):
+        super().__init__(f"graph {index}: {detail}")
+        self.index, self.detail = index, detail
+
+
 @dataclass(frozen=True)
 class PruneStats:
     edges_in: int
@@ -64,10 +72,6 @@ class PruneResult:
     kept_edge_indices: np.ndarray
     selections: np.ndarray
     stats: PruneStats
-
-    @property
-    def kept_edges(self) -> np.ndarray:
-        return self.graph.edges
 
 
 def _subgraph(g: Graph, kept_idx: np.ndarray) -> Graph:
@@ -200,7 +204,7 @@ def prune_dataset(
     hash family (same seeds) is applied to each graph, which is what makes
     selections consistent across samples; the random baseline reseeds from
     ``random_cfg.seed`` per graph so identical graphs yield identical
-    results.  The first per-graph failure raises, naming the graph index.
+    results.  The first per-graph failure raises a :class:`GraphError`.
     """
     if (family is None) == (random_cfg is None):
         raise ValueError("pass exactly one of family= or random_cfg=")
@@ -215,7 +219,7 @@ def prune_dataset(
             else:
                 results.append(random_prune(g, random_cfg))
         except Exception as exc:
-            raise ValueError(f"graph {idx}: {exc}") from exc
+            raise GraphError(idx, exc) from exc
     return results
 
 

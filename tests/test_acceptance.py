@@ -13,25 +13,28 @@ import pytest
 from scipy.stats import spearmanr
 
 from lsprune import (
-    GeneratorConfig,
     Graph,
     LshFamily,
     LshFamilyConfig,
-    bernoulli_edge_pruner,
     build_adjacency,
     build_edge_attrs,
-    collision_rate,
+    lsp_prune,
+    write_container,
+)
+from lsprune.analysis import (
+    bernoulli_edge_pruner,
+    neighborhood_variance_curve,
+    variance_scaling_check,
+)
+from lsprune.cli import main as cli_main
+from lsprune.generator import (
+    GeneratorConfig,
     generate_class_template,
     generate_dataset,
     generate_sample,
-    lsp_prune,
-    neighborhood_variance_curve,
-    variance_scaling_check,
-    write_container,
 )
-from lsprune.cli import main as cli_main
 
-from util import brute_force_minhash, random_graph, selection_lists
+from util import brute_force_minhash, collision_rate, kept_edges, random_graph, selection_lists
 
 
 @contextmanager
@@ -247,7 +250,7 @@ def test_c07_variance_curve_trend():
             node_removal_probability=0.0,
             seed=4,
         )
-        ((g, _label),) = generate_dataset(cfg)
+        (g,) = generate_dataset(cfg)
         fractions = tuple(round(0.1 * i, 1) for i in range(1, 11))
         curve = neighborhood_variance_curve(
             g, depths=(1, 3, 5), keep_fractions=fractions,
@@ -312,10 +315,10 @@ def test_c09_generator_statistics():
         cfg = GeneratorConfig(num_samples=200, seed=6)
         data = generate_dataset(cfg)
 
-        labels = [label for _g, label in data]
+        labels = [g.graph_label for g in data]
         assert all(labels.count(c) == 2 for c in range(100))
 
-        counts = np.array([g.num_nodes for g, _l in data])
+        counts = np.array([g.num_nodes for g in data])
         keep = 1.0 - cfg.node_removal_probability
         sigma = math.sqrt(cfg.min_nodes * keep * (1.0 - keep))
         assert counts.min() >= cfg.min_nodes * keep - 3 * sigma
@@ -325,7 +328,7 @@ def test_c09_generator_statistics():
         node_devs, edge_devs = [], []
         for s in range(cfg.num_samples):
             sample = generate_sample(cfg, templates, s)
-            tpl = templates[sample.label]
+            tpl = templates[sample.graph.graph_label]
             centers = tpl.node_centers[sample.template_nodes]
             node_devs.append((sample.graph.node_attrs - centers).ravel())
 
@@ -362,6 +365,6 @@ def test_c10_minhash_oracle_equivalence():
             )
             res = lsp_prune(g, attrs, fam)
             kept_oracle, sel_oracle = brute_force_minhash(g, attrs.rows, fam)
-            assert set(map(tuple, res.kept_edges.tolist())) == kept_oracle
+            assert kept_edges(res) == kept_oracle
             assert selection_lists(res) == sel_oracle
             checked += 1

@@ -6,11 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lsprune.analysis as analysis
-from lsprune import (
-    Graph,
+from lsprune import Graph, build_adjacency
+from lsprune.analysis import (
     bernoulli_edge_pruner,
     bernoulli_thinning_variance,
-    build_adjacency,
     jaccard_locality,
     khop_sizes,
     neighborhood_stats,

@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from lsprune import (
-    CANONICAL,
-    CENTER_FIRST,
-    Graph,
-    build_edge_attrs,
-    embed_scalar_attrs,
-    embedding_table,
-)
-from lsprune.attrs import CONSTRUCTION_MODES, edge_attr_dim
+from lsprune import Graph, build_edge_attrs, embed_scalar_attrs
+from lsprune.attrs import CANONICAL, CENTER_FIRST, CONSTRUCTION_MODES, edge_attr_dim
+
+from util import embedding_table
 
 
 def two_node_graph(edge_attr=None):

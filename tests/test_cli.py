@@ -379,7 +379,7 @@ def test_projection_overflow_is_data_error(tmp_path, capsys):
         capsys,
     )
     assert code == 2
-    assert err.startswith("data-error: graph 0: lsp_p projection bucket outside int64")
+    assert err.startswith("data-error: graph '0' (index 0): lsp_p projection bucket outside int64")
 
 
 def test_random_negative_seed_is_usage_error(tmp_path, sample_container, capsys):
@@ -1018,3 +1018,28 @@ def test_string_option_with_outer_whitespace_is_usage_error(tmp_path, capsys, mo
     assert (code, stdout) == (1, "")
     assert err == f"usage-error: output must not begin or end with whitespace, got {text!r}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text", ["d\nx.lspg", "d\rx.lspg", "d\x0bx.lspg", "d\x1cx.lspg",
+                                  "d\x85x.lspg", "d\u2028x.lspg", "d\u2029x.lspg"])
+def test_string_option_with_a_line_break_is_usage_error(tmp_path, capsys, monkeypatch, text):
+    # the echo would break such a value across two config lines
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(["generate", "--output", text, "--num-samples", "1"], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == f"usage-error: output must not contain a line break, got {text!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("method", ["lsp-t", "lsp-p"])
+def test_graph_failing_while_hashed_is_named_by_id_and_index(tmp_path, capsys, method):
+    src = tmp_path / "nan.lspg"
+    src.write_text("lspg 1\nG a\nN 2 1\nM 1 0\nnode 0 0.5\nnode 1 1.5\nedge 0 1\n"
+                   "G b\nN 2 1\nM 1 0\nnode 0 nan\nnode 1 1.0\nedge 0 1\n")
+    out = tmp_path / "o.lspg"
+    code, _, err = run(["prune", "--input", str(src), "--output", str(out), "--method", method],
+                       capsys)
+    assert code == 2
+    assert err == ("data-error: graph 'b' (index 1): attribute vectors contain non-finite "
+                   "entries\n")
+    assert not out.exists()

@@ -8,22 +8,23 @@ import pytest
 
 import lsprune.container as container
 from lsprune import (
-    ContainerFormatError,
-    GeneratorConfig,
     Graph,
     LshFamily,
     LshFamilyConfig,
-    generate_dataset,
     iter_container,
-    parse_config_file,
     parse_container_detailed,
-    parse_family,
     write_container,
+)
+from lsprune.container import (
+    ContainerFormatError,
+    format_tsv,
+    parse_config_file,
+    parse_family,
     write_family,
 )
-from lsprune.container import format_config, format_tsv
+from lsprune.generator import GeneratorConfig, generate_dataset
 
-from util import format_container, random_graph, read_graphs
+from util import config_text, format_container, random_graph, read_graphs
 
 
 def roundtrip(graphs, tmp_path, name="g.lspg"):
@@ -136,7 +137,7 @@ def test_roundtrip_on_generated_corpus(tmp_path):
         num_samples=6, num_classes=3, min_nodes=4, max_nodes=7,
         node_dim=3, edge_dim=2, connectivity_rate=0.5, seed=1,
     )
-    graphs = [g for g, _l in generate_dataset(cfg)]
+    graphs = list(generate_dataset(cfg))
     rng = np.random.default_rng(0)
     graphs.append(random_graph(rng, 9, 0.4, node_dim=2, with_loops=True, with_labels=True))
     graphs.append(Graph(1, []))  # attribute-free singleton
@@ -262,10 +263,10 @@ def test_family_sidecar_roundtrip(tmp_path, variant):
     write_family(fam, path)
     loaded = parse_family(path)
     assert loaded.config == fam.config
+    assert np.array_equal(loaded.vectors, fam.vectors)
     if variant == "lsp_t":
-        assert np.array_equal(loaded.thresholds, fam.thresholds)
+        assert loaded.offsets is None and fam.offsets is None
     else:
-        assert np.array_equal(loaded.directions, fam.directions)
         assert np.array_equal(loaded.offsets, fam.offsets)
     # loaded parameters hash identically
     rows = np.random.default_rng(1).standard_normal((4, 5))
@@ -280,7 +281,7 @@ def test_family_magic_mismatch(tmp_path):
 
 
 def test_config_file_roundtrip(tmp_path):
-    text = format_config({"method": "lsp-p", "k": 4, "seed": 7})
+    text = config_text({"method": "lsp-p", "k": 4, "seed": 7})
     path = tmp_path / "run.cfg"
     path.write_text(text)
     assert parse_config_file(path) == {"method": "lsp-p", "k": "4", "seed": "7"}

@@ -220,7 +220,7 @@ def family_lines(draw) -> list[list[str]]:
 
 def same_families(got, want):
     assert got.config == want.config
-    for name in ("thresholds", "directions", "offsets"):
+    for name in ("vectors", "offsets"):
         same_optional(getattr(got, name), getattr(want, name))
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lsprune import (
+from lsprune.generator import (
     GeneratorConfig,
     generate_class_template,
     generate_dataset,
@@ -29,7 +29,7 @@ def small_cfg(**overrides):
 
 def test_round_robin_labels_exactly_balanced():
     data = generate_dataset(small_cfg(num_samples=4, num_classes=2))
-    labels = [label for _g, label in data]
+    labels = [g.graph_label for g in data]
     assert labels == [0, 1, 0, 1]
 
 
@@ -43,8 +43,8 @@ def test_noise_free_limit_reproduces_centers():
     )
     data = generate_dataset(cfg)
     by_key = {}
-    for g, label in data:
-        by_key.setdefault((label, g.num_nodes), []).append(g)
+    for g in data:
+        by_key.setdefault((g.graph_label, g.num_nodes), []).append(g)
     for group in by_key.values():
         for g in group[1:]:
             assert np.array_equal(g.node_attrs, group[0].node_attrs)
@@ -62,7 +62,7 @@ def test_noise_free_samples_are_template_slices():
     templates = [generate_class_template(cfg, c) for c in range(cfg.num_classes)]
     for s in range(cfg.num_samples):
         sample = generate_sample(cfg, templates, s)
-        tpl = templates[sample.label]
+        tpl = templates[sample.graph.graph_label]
         n = sample.graph.num_nodes
         assert np.array_equal(sample.graph.node_attrs, tpl.node_centers[:n])
         induced = tpl.edges[(tpl.edges[:, 0] < n) & (tpl.edges[:, 1] < n)]
@@ -84,7 +84,7 @@ def test_expected_edge_count_under_direction_union():
         seed=3,
     )
     data = generate_dataset(cfg)
-    mean_edges = np.mean([g.num_edges for g, _l in data])
+    mean_edges = np.mean([g.num_edges for g in data])
     assert abs(mean_edges - 441.0) / 441.0 < 0.05
 
 
@@ -115,8 +115,8 @@ def test_dataset_reproducible_from_config():
     cfg = small_cfg(num_samples=6)
     d1 = generate_dataset(cfg)
     d2 = generate_dataset(cfg)
-    for (g1, l1), (g2, l2) in zip(d1, d2):
-        assert l1 == l2
+    for g1, g2 in zip(d1, d2):
+        assert g1.graph_label == g2.graph_label
         assert np.array_equal(g1.edges, g2.edges)
         assert np.array_equal(g1.node_attrs, g2.node_attrs)
         assert np.array_equal(g1.edge_attrs, g2.edge_attrs)
@@ -142,7 +142,7 @@ def test_different_seeds_differ():
     d2 = generate_dataset(small_cfg(seed=2, node_removal_probability=0.0))
     assert any(
         not np.array_equal(g1.node_attrs, g2.node_attrs)
-        for (g1, _), (g2, _) in zip(d1, d2)
+        for g1, g2 in zip(d1, d2)
     )
 
 
@@ -165,7 +165,7 @@ def test_attribute_noise_scale():
     node_devs, edge_devs = [], []
     for s in range(cfg.num_samples):
         sample = generate_sample(cfg, templates, s)
-        tpl = templates[sample.label]
+        tpl = templates[sample.graph.graph_label]
         n = sample.graph.num_nodes
         node_devs.append((sample.graph.node_attrs - tpl.node_centers[:n]).ravel())
         induced = (tpl.edges[:, 0] < n) & (tpl.edges[:, 1] < n)
@@ -181,7 +181,7 @@ def test_node_counts_within_bounds_and_removal_bites():
     cfg = small_cfg(num_samples=100, min_nodes=10, max_nodes=12,
                     node_removal_probability=0.3, seed=9)
     data = generate_dataset(cfg)
-    counts = np.array([g.num_nodes for g, _l in data])
+    counts = np.array([g.num_nodes for g in data])
     assert counts.min() >= 1
     assert counts.max() <= 12
     assert counts.mean() < 10.5  # clearly below the no-removal range
@@ -190,7 +190,7 @@ def test_node_counts_within_bounds_and_removal_bites():
 def test_removal_never_empties_graph():
     cfg = small_cfg(num_samples=50, min_nodes=1, max_nodes=2,
                     node_removal_probability=0.95, seed=11)
-    for g, _l in generate_dataset(cfg):
+    for g in generate_dataset(cfg):
         assert g.num_nodes >= 1
 
 

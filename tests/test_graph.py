@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lsprune import Graph, GraphStructureError, build_adjacency
-from lsprune.graph import MAX_NODES
+from lsprune import Graph, build_adjacency
+from lsprune.graph import MAX_NODES, GraphStructureError
 
 from util import incident_edges_of, lexsort_adjacency, neighbors_of, random_graph
 

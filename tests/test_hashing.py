@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lsprune import LshFamily, LshFamilyConfig, collision_rate
+from lsprune import LshFamily, LshFamilyConfig
 
-from util import bucket_rows, md5_bucket
+from util import bucket_rows, collision_rate, md5_bucket
 
 # first 8 bytes, big-endian, of MD5 over a single byte; frozen from an
 # independent digest computation
@@ -19,13 +19,13 @@ MD5_00_HEAD = 10644404701628309641
 def t_family(thresholds, m=65536):
     thresholds = np.asarray(thresholds, dtype=np.float64)
     cfg = LshFamilyConfig("lsp_t", d=thresholds.shape[1], k=thresholds.shape[0], m=m)
-    return LshFamily(config=cfg, thresholds=thresholds)
+    return LshFamily(config=cfg, vectors=thresholds)
 
 
 def p_family(directions, offsets, l=1.0):
     directions = np.asarray(directions, dtype=np.float64)
     cfg = LshFamilyConfig("lsp_p", d=directions.shape[1], k=directions.shape[0], l=l)
-    return LshFamily(config=cfg, directions=directions, offsets=np.asarray(offsets, float))
+    return LshFamily(config=cfg, vectors=directions, offsets=np.asarray(offsets, float))
 
 
 def bucket(family, i, x):
@@ -56,7 +56,7 @@ def test_same_side_of_thresholds_implies_collision():
         x = rng.standard_normal(6)
         delta = rng.random(6) * 0.5
         for i in range(3):
-            w = fam.thresholds[i]
+            w = fam.vectors[i]
             y = np.where(x > w, x + delta, x - delta)  # stays on the same side
             assert bucket(fam, i, x) == bucket(fam, i, y)
 
@@ -104,17 +104,17 @@ def test_family_regeneration_is_identical():
     cfg = LshFamilyConfig("lsp_p", d=5, k=3, master_seed=99)
     f1 = LshFamily.from_config(cfg)
     f2 = LshFamily.from_config(cfg)
-    assert np.array_equal(f1.directions, f2.directions)
+    assert np.array_equal(f1.vectors, f2.vectors)
     assert np.array_equal(f1.offsets, f2.offsets)
 
 
 def test_function_parameters_depend_only_on_master_seed_and_index():
     small = LshFamily.from_config(LshFamilyConfig("lsp_p", d=4, k=2, master_seed=7))
     large = LshFamily.from_config(LshFamilyConfig("lsp_p", d=4, k=5, master_seed=7))
-    assert np.array_equal(small.directions, large.directions[:2])
+    assert np.array_equal(small.vectors, large.vectors[:2])
     assert np.array_equal(small.offsets, large.offsets[:2])
     other = LshFamily.from_config(LshFamilyConfig("lsp_p", d=4, k=2, master_seed=8))
-    assert not np.array_equal(small.directions, other.directions)
+    assert not np.array_equal(small.vectors, other.vectors)
 
 
 def test_bucket_matrix_matches_spec():
@@ -127,9 +127,9 @@ def test_bucket_matrix_matches_spec():
     pmat = pfam.bucket_matrix(rows)
     for i in range(3):
         for j, x in enumerate(rows):
-            digest = hashlib.md5(np.packbits(x > tfam.thresholds[i]).tobytes()).digest()
+            digest = hashlib.md5(np.packbits(x > tfam.vectors[i]).tobytes()).digest()
             assert tmat[i, j] == int.from_bytes(digest[:8], "big") % 1024
-            proj = float(x @ pfam.directions[i]) + float(pfam.offsets[i])
+            proj = float(x @ pfam.vectors[i]) + float(pfam.offsets[i])
             assert pmat[i, j] == math.floor(proj / 0.5)
 
 

@@ -10,6 +10,7 @@ import os
 import signal
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -172,8 +173,26 @@ def test_write_error_on_a_device_fails_as_the_serial_path(capsys, writer):
     serial = _run(argv, capsys)
     forks = writer(2, 1)
     assert _run(argv, capsys) == serial
-    assert serial[0] != 0
+    assert serial[0] == 2
+    full = errno.ENOSPC
+    assert serial[2] == f"data-error: [Errno {full}] {os.strerror(full)}: '/dev/full'\n"
     assert len(forks) == forked_workers(2, 1, 40)
+
+
+_VersionInfo = namedtuple("version_info", "major minor micro releaselevel serial")
+
+
+@pytest.mark.parametrize("one_thread", [False, True])
+def test_python_3_12_forks_only_from_a_single_thread(tmp_path, monkeypatch, writer, one_thread):
+    # os.fork() warns there when the process runs more than one thread
+    monkeypatch.setattr(sys, "version_info", _VersionInfo(3, 12, 0, "final", 0))
+    monkeypatch.setattr(container, "_one_thread", lambda: one_thread)
+    graphs = _attributed(np.random.default_rng(8), 4)
+    forks = writer(2, 1)
+    out = tmp_path / "out.lspg"
+    write_container(graphs, out)
+    assert out.read_text(encoding="utf-8") == format_container(graphs)
+    assert len(forks) == (2 if one_thread else 0)
 
 
 _FORK_COUNTING_MAIN = """

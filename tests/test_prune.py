@@ -5,15 +5,13 @@ from lsprune import (
     Graph,
     LshFamily,
     LshFamilyConfig,
-    RandomPruneConfig,
     build_adjacency,
     build_edge_attrs,
     lsp_prune,
-    prune_dataset,
-    random_prune,
 )
+from lsprune.prune import RandomPruneConfig, prune_dataset, random_prune
 
-from util import brute_force_minhash, random_graph, selection_lists
+from util import brute_force_minhash, kept_edges, random_graph, selection_lists
 
 
 def family(variant="lsp_p", d=4, k=2, seed=0):
@@ -35,14 +33,14 @@ def test_single_edge_always_kept():
     g = Graph(2, [(0, 1)], edge_attrs=[[1.0, 2.0, 3.0, 4.0]])
     for k in (1, 2, 5):
         res = lsp_prune(g, build_edge_attrs(g, "raw_edge"), family(k=k))
-        assert res.kept_edges.tolist() == [[0, 1]]
+        assert kept_edges(res) == {(0, 1)}
 
 
 def test_star_with_k1_keeps_all_leaf_lifelines():
     # center picks one argmin edge; every leaf's only edge joins the union
     g = Graph(4, [(0, 1), (0, 2), (0, 3)], edge_attrs=np.eye(3, 4))
     res = lsp_prune(g, build_edge_attrs(g, "raw_edge"), family(k=1))
-    assert sorted(map(tuple, res.kept_edges.tolist())) == [(0, 1), (0, 2), (0, 3)]
+    assert kept_edges(res) == {(0, 1), (0, 2), (0, 3)}
     lists = selection_lists(res)
     assert len(lists[0]) == 1  # the center contributed exactly one pick
 
@@ -116,9 +114,7 @@ def test_lsp_prune_deterministic_and_order_independent():
     perm = np.random.default_rng(0).permutation(g.num_edges)
     g_perm = Graph(g.num_nodes, g.edges[perm], edge_attrs=g.edge_attrs[perm])
     third = lsp_prune(g_perm, build_edge_attrs(g_perm, "raw_edge"), fam)
-    assert set(map(tuple, third.kept_edges.tolist())) == set(
-        map(tuple, first.kept_edges.tolist())
-    )
+    assert kept_edges(third) == kept_edges(first)
 
 
 def test_no_node_orphaned():
@@ -138,7 +134,7 @@ def test_monotone_coverage_in_k():
     kept_prev: set = set()
     for k in (1, 2, 3, 4):
         res = lsp_prune(g, attrs, family(k=k, seed=42))
-        kept = set(map(tuple, res.kept_edges.tolist()))
+        kept = kept_edges(res)
         assert kept_prev <= kept  # extending the family only adds edges
         kept_prev = kept
 
@@ -152,7 +148,7 @@ def test_union_reconstructs_kept_edges():
         for u, lst in selection_lists(res).items()
         for _i, v in lst
     }
-    assert rebuilt == set(map(tuple, res.kept_edges.tolist()))
+    assert rebuilt == kept_edges(res)
 
 
 def test_selection_counts_bounded():
@@ -250,7 +246,7 @@ def test_brute_force_oracle_agreement():
         fam = family(variant, k=int(rng.integers(1, 4)), seed=trial)
         res = lsp_prune(g, attrs, fam)
         kept_oracle, sel_oracle = brute_force_minhash(g, attrs.rows, fam)
-        assert set(map(tuple, res.kept_edges.tolist())) == kept_oracle
+        assert kept_edges(res) == kept_oracle
         assert selection_lists(res) == sel_oracle
 
 
@@ -293,8 +289,8 @@ def test_prune_dataset_permuted_twins_keep_permuted_edges():
         assert len(np.unique(buckets[i])) == g.num_edges
     res, res_perm = prune_dataset([g, g_perm], family=fam, attr_mode="raw_edge")
     mapped = {(min(perm[u], perm[v]), max(perm[u], perm[v]))
-              for u, v in res.kept_edges.tolist()}
-    assert mapped == set(map(tuple, res_perm.kept_edges.tolist()))
+              for u, v in kept_edges(res)}
+    assert mapped == kept_edges(res_perm)
 
 
 def test_prune_dataset_names_the_failing_graph():

@@ -10,11 +10,12 @@ from __future__ import annotations
 import hashlib
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from lsprune import AdjacencyView, Graph, parse_container_detailed
+from lsprune import Graph, embed_scalar_attrs, parse_container_detailed
 from lsprune.container import (
     FAMILY_MAGIC,
     GRAPH_MAGIC,
@@ -22,8 +23,10 @@ from lsprune.container import (
     ParsedContainer,
     _container_pieces,
     _one_thread,
+    format_config,
 )
-from lsprune.hashing import LSP_T, LshFamily, LshFamilyConfig
+from lsprune.graph import AdjacencyView
+from lsprune.hashing import LSP_P, LshFamily, LshFamilyConfig
 
 
 def read_graphs(path) -> list[Graph]:
@@ -42,6 +45,34 @@ def forked_workers(cpus: int, batch: int, graphs: int) -> int:
     if workers < 2 or (sys.version_info >= (3, 12) and not _one_thread()):
         return 0
     return workers
+
+
+def config_text(values: dict) -> str:
+    """The config file that sets each key of ``values`` to its value."""
+    return format_config(values.items())
+
+
+def kept_edges(result) -> set[tuple[int, int]]:
+    """The kept edges of a ``PruneResult`` as a set of canonical ``(u, v)`` pairs."""
+    return set(map(tuple, result.graph.edges.tolist()))
+
+
+def embedding_table(m: int, seed: int) -> np.ndarray:
+    """The ``m x m`` table ``embed_scalar_attrs`` draws from: column ``r`` embeds code ``r``."""
+    return embed_scalar_attrs(np.arange(m), m, seed).T
+
+
+def collision_rate(cfg: LshFamilyConfig, pairs, trials: int) -> np.ndarray:
+    """Empirical collision rate of each ``(x, y)`` pair over ``trials`` fresh functions.
+
+    The functions are those of a family of ``k = trials`` from ``cfg``'s
+    master seed; the rate of a pair is the fraction of them under which both
+    vectors land in the same bucket.
+    """
+    probe = LshFamily.from_config(replace(cfg, k=trials))
+    hx = probe.bucket_matrix(np.array([x for x, _ in pairs], dtype=np.float64))
+    hy = probe.bucket_matrix(np.array([y for _, y in pairs], dtype=np.float64))
+    return (hx == hy).mean(axis=0)
 
 
 def selection_lists(result) -> dict[int, list[tuple[int, int]]]:
@@ -477,14 +508,14 @@ def reference_parse_family(path) -> LshFamily:
         line, tokens = _function_line(cursor, "w", i, k, line)
         vectors[i] = _want_floats(tokens[2:], d, "parameter", line)
 
-    if variant == LSP_T:
-        return LshFamily(config=cfg, thresholds=vectors)
+    if variant != LSP_P:
+        return LshFamily(config=cfg, vectors=vectors)
 
     offsets = np.zeros(k)
     for i in range(k):
         line, tokens = _function_line(cursor, "b", i, k, line)
         offsets[i] = _want_floats(tokens[2:], 1, "offset", line)[0]
-    return LshFamily(config=cfg, directions=vectors, offsets=offsets)
+    return LshFamily(config=cfg, vectors=vectors, offsets=offsets)
 
 
 def reference_parse_pairs(path) -> list[tuple[int, int]]:
