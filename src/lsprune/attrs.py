@@ -81,6 +81,8 @@ class EdgeAttrTable:
 
 
 def _zscore_columns(mat: np.ndarray) -> np.ndarray:
+    if not np.isfinite(mat).all():  # a column's mean and std would be nan or inf
+        raise ValueError("attribute vectors contain non-finite entries")
     mean = mat.mean(axis=0)
     std = mat.std(axis=0)
     std[std == 0.0] = 1.0  # constant dimensions are centered, not scaled

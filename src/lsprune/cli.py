@@ -296,11 +296,11 @@ _GENERATE_SCHEMA = [("output", str, None)] + [
 
 
 def _cmd_generate(cfg) -> int:
-    _echo(_GENERATE_SCHEMA, cfg)
     try:
         gen_cfg = GeneratorConfig(**{k: cfg[k] for k, _t, _d in _GENERATE_SCHEMA[1:]})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    _echo(_GENERATE_SCHEMA, cfg)
     samples = generate_dataset(gen_cfg)  # generated as they are written, by the writer's workers
     write_container(samples, cfg["output"])
     return 0

@@ -17,15 +17,17 @@ comment line.  Node ids are normally the dense range ``0 .. num_nodes - 1``;
 files with other distinct ids are accepted and remapped by order of
 appearance, with the mapping reported so it can be emitted alongside output.
 
-Readers and the writer stream: text is read ``_READ_CHUNK`` characters at a
-time and rows are converted or formatted a chunk at a time, so memory beyond
-the parsed graphs stays bounded by one block.  Lines break where
-``str.splitlines`` breaks them; integer and float tokens take the syntax of
-Python's ``int()`` and ``float()``.  ``iter_container`` yields one block at a
-time and the writer takes any iterable of graphs, so a pipeline need hold
-only the graph at hand.  A sequence of graphs is formatted by forked workers,
-one per usable CPU and a batch of graphs at a time, into the bytes one
-process writes.  Every output is written atomically.
+Readers and the writer stream: every reader takes its file in whole-line
+pieces of about ``_READ_CHUNK`` bytes, and rows are converted or formatted a
+chunk at a time, so memory beyond the parsed graphs stays bounded by one
+block.  Lines break and are numbered where ``str.splitlines`` breaks the whole
+text, and a byte that is not UTF-8 is an error at its line; integer and float
+tokens take the syntax of Python's ``int()`` and ``float()``.
+``iter_container`` yields one block at a time and the writer takes any
+iterable of graphs, so a pipeline need hold only the graph at hand.  A
+sequence of graphs is formatted by forked workers, one per usable CPU and a
+batch of graphs at a time, into the bytes one process writes.  Every output
+is written atomically.
 
 Hash-family parameters use the same line-oriented style under an ``lsph 1``
 magic so a pruning run can be replayed bit-exactly from its sidecar.
@@ -43,7 +45,6 @@ import sys
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -62,7 +63,7 @@ class ContainerFormatError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-_READ_CHUNK = 1 << 18  # characters read at once; bounds the text a reader holds
+_READ_CHUNK = 1 << 18  # bytes read at once, then on to the end of their line
 _TOKEN_CHUNK = 4096  # tokens converted to numbers at once; bounds the token lists held
 _ROW_CHUNK = 1024  # rows the writer turns into Python objects and text at once
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
@@ -70,55 +71,57 @@ _MAX_DIM = 2**60  # numpy cannot shape a float64 array this wide, even with no r
 _INT64 = range(-(2**63), 2**63)
 
 
-class _Scanner:
-    """Significant lines of an open text file, read ``_READ_CHUNK`` characters at a time.
+def _pieces(fh):
+    """The lines of the binary file ``fh``, a list per whole-line piece.
 
-    Lines break exactly where ``str.splitlines`` breaks the whole text (the
-    file is opened with universal newlines, so ``\r\n`` and ``\r`` arrive as
-    ``\n``).  Blank lines and lines whose first token starts with ``#`` are
-    skipped; every line is returned with its 1-based number and its tokens.
+    A piece is ``_READ_CHUNK`` bytes read on to a ``\\n``, where ``str.splitlines``
+    breaks too, so splitting each piece numbers lines as splitting the whole
+    text does.  At a byte that is not UTF-8 the lines before its line come
+    last, then ContainerFormatError names its line.
+    """
+    done = 0  # lines in the pieces before
+    while piece := fh.read(_READ_CHUNK) + fh.readline():
+        try:
+            lines = piece.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            head = (piece[: exc.start].decode("utf-8") + "?").splitlines()  # "?": the bad byte
+            yield head[:-1]
+            raise ContainerFormatError(
+                f"not UTF-8 text: {exc.reason} {piece[exc.start]:#04x}", done + len(head)
+            ) from None
+        del piece  # only its lines are held while they are taken
+        done += len(lines)
+        yield lines
+
+
+class _Scanner:
+    """Significant lines of an open binary file, from ``_pieces``.
+
+    Blank lines and lines whose first token starts with ``#`` are skipped;
+    every line comes with its 1-based number and its tokens.  Line 1 must
+    read ``magic``, when given.  A decoding error is raised once the lines
+    before it are taken, so an error on an earlier line comes first.
     """
 
     def __init__(self, fh, magic: str | None = None):
-        self._fh = fh
-        self._magic = magic  # line 1 must read this
-        self._raw: list[str] = []  # lines of the current piece
-        self._pos = 0  # next line of _raw to scan
-        self._lineno = 0  # lines scanned so far
-        self._carry = ""  # unterminated tail of the last piece
-        self._eof = False
-        self._back = None  # the line peek() handed back
+        self._error = None  # the decoding error that ends the lines
+        self._lines = itertools.chain.from_iterable(self._read(fh))
+        self._lineno = 0 if magic is None else 1  # lines taken so far
+        if magic is not None and (first := next(self._lines, "").strip()) != magic:
+            raise self._error or ContainerFormatError(
+                f"magic mismatch: expected {magic!r}, got {first!r}", 1
+            )
 
-    def _read(self) -> bool:
-        """Load the lines of the next piece; False once the file is exhausted."""
-        while not self._eof:
-            piece = self._fh.read(_READ_CHUNK)
-            self._eof = not piece
-            raw = (self._carry + piece).splitlines(keepends=True)
-            self._carry = ""
-            if piece and raw and raw[-1].splitlines()[0] == raw[-1]:
-                self._carry = raw.pop()  # the line may go on in the next piece
-            if self._magic is not None and (raw or self._eof):
-                first = raw[0].strip() if raw else ""
-                if first != self._magic:
-                    raise ContainerFormatError(
-                        f"magic mismatch: expected {self._magic!r}, got {first!r}", 1
-                    )
-                raw[0] = ""  # consumed
-                self._magic = None
-            if raw:
-                self._raw, self._pos = raw, 0
-                return True
-        return False
+    def _read(self, fh):
+        """The pieces of ``fh``; a decoding error ends them and is kept for ``take`` to raise."""
+        try:
+            yield from _pieces(fh)
+        except ContainerFormatError as exc:
+            self._error = exc
 
     def take(self, n: int):
         """Up to ``n`` significant lines as (line numbers, token lists); empty at end of file."""
-        if self._back is not None:
-            (line, tokens), self._back = self._back, None
-            return [line], [tokens]
-        while self._pos < len(self._raw) or self._read():
-            seg = self._raw[self._pos : self._pos + n]
-            self._pos += len(seg)
+        while seg := list(itertools.islice(self._lines, n)):
             first = self._lineno + 1
             self._lineno += len(seg)
             rows = [t for t in map(str.split, seg) if t and t[0][0] != "#"]
@@ -127,15 +130,13 @@ class _Scanner:
             if rows:
                 keep = [i for i, raw in enumerate(seg) if (s := raw.lstrip()) and s[0] != "#"]
                 return [first + i for i in keep], rows
+        if self._error is not None:
+            raise self._error
         return [], []
 
     def next(self) -> tuple[int, list[str]] | None:
         lines, rows = self.take(1)
         return (lines[0], rows[0]) if rows else None
-
-    def peek(self) -> tuple[int, list[str]] | None:
-        self._back = self.next()
-        return self._back
 
 
 def _want_int(token: str, what: str, line: int) -> int:
@@ -237,13 +238,15 @@ def iter_container(path):
     closes the iterator (``contextlib.closing``), which closes the file.
     """
     blocks = 0
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         scan = _Scanner(fh, GRAPH_MAGIC)
-        while (item := scan.next()) is not None:
+        item = scan.next()
+        while item is not None:
             line, tokens = item
             if tokens[0] != "G":
                 raise ContainerFormatError(f"expected a 'G' block header, got {tokens[0]!r}", line)
-            yield _parse_block(scan, tokens, line)
+            block, item = _parse_block(scan, tokens, line)
+            yield block
             blocks += 1
     if not blocks:
         raise ContainerFormatError("container holds no graph blocks")
@@ -260,6 +263,7 @@ def parse_container_detailed(path) -> ParsedContainer:
 
 
 def _parse_block(scan: _Scanner, header: list[str], header_line: int):
+    """The block after its ``G`` line as ``(graph, graph_id, id_map)``, and the next line read."""
     if len(header) not in (2, 3):
         raise ContainerFormatError("G line must be 'G <graph_id> [label=<int>]'", header_line)
     gid = header[1]
@@ -286,9 +290,10 @@ def _parse_block(scan: _Scanner, header: list[str], header_line: int):
 
     labels: dict[int, int] = {}  # dense index -> label
     loops: dict[int, None] = {}
+    item = scan.next()  # the line after the edges
     for tag, usage, seen in (("nodelabel", "<id> <int>", labels), ("loop", "<id>", loops)):
-        while (item := scan.peek()) is not None and item[1][0] == tag:
-            line, tokens = scan.next()
+        while item is not None and item[1][0] == tag:
+            line, tokens = item
             if len(tokens) != 1 + len(usage.split()):
                 raise ContainerFormatError(f"{tag} line must be '{tag} {usage}'", line)
             _, nid = _resolve(tokens[1], f"{tag} id", line, nodes)
@@ -297,6 +302,7 @@ def _parse_block(scan: _Scanner, header: list[str], header_line: int):
             seen[nid] = None if tag == "loop" else _want_int(tokens[2], "node label", line)
             if tag == "nodelabel" and seen[nid] not in _INT64:
                 raise ContainerFormatError(f"node label {seen[nid]} does not fit in 64 bits", line)
+            item = scan.next()
         if len(labels) not in (0, num_nodes):
             raise ContainerFormatError(
                 f"count mismatch: {len(labels)} nodelabel lines for {num_nodes} nodes "
@@ -313,7 +319,7 @@ def _parse_block(scan: _Scanner, header: list[str], header_line: int):
         graph_label=graph_label,
         self_loops=frozenset(loops),
     )
-    return graph, gid, id_map
+    return (graph, gid, id_map), item
 
 
 def _count_line(scan: _Scanner, tag: str, names: tuple[str, str], after: str, line: int):
@@ -480,6 +486,8 @@ def _container_pieces(graphs, graph_ids):
 
 def _block_pieces(gid, g: Graph):
     """The text of one graph block in pieces of at most ``_ROW_CHUNK`` rows."""
+    if str(gid).split() != [str(gid)]:  # every line break str.splitlines knows is whitespace
+        raise ValueError(f"graph id {gid!r} is empty or holds whitespace")
     header = f"G {gid}"
     if g.graph_label is not None:
         header += f" label={int(g.graph_label)}"
@@ -713,7 +721,7 @@ def _function_lines(scan: _Scanner, tag: str, k: int, width: int, what: str, lin
 
 def parse_family(path) -> LshFamily:
     """Load hash-family parameters from a sidecar file."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         scan = _Scanner(fh, FAMILY_MAGIC)
         item = scan.next()
         if item is None or item[1][0] != "family" or len(item[1]) != 7:
@@ -749,7 +757,7 @@ def parse_pairs(path) -> np.ndarray:
     Returns a ``(P, 2)`` int64 array, converted a chunk of lines at a time.
     """
     chunks = [np.empty((0, 2), np.int64)]
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         scan = _Scanner(fh)
         while True:
             lines, rows = scan.take(max(1, _TOKEN_CHUNK // 2))
@@ -779,17 +787,18 @@ def parse_config_file(path) -> dict[str, str]:
     A key given twice is an error naming its second line.
     """
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ContainerFormatError("config line is not 'key = value'", lineno)
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key in out:
-            raise ContainerFormatError(f"config key {key!r} given twice", lineno)
-        out[key] = value.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(itertools.chain.from_iterable(_pieces(fh)), 1):
+            stripped = raw.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if "=" not in stripped:
+                raise ContainerFormatError("config line is not 'key = value'", lineno)
+            key, _, value = stripped.partition("=")
+            key = key.strip()
+            if key in out:
+                raise ContainerFormatError(f"config key {key!r} given twice", lineno)
+            out[key] = value.strip()
     return out
 
 

@@ -74,8 +74,8 @@ class GeneratorConfig:
         # zero std is allowed: it is the exact noise-free limit
         for name in ("node_centers_std", "edge_centers_std", "node_noise_std", "edge_noise_std"):
             s = getattr(self, name)
-            if s < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {s}")
+            if not 0.0 <= s < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {s}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

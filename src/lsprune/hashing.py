@@ -132,9 +132,9 @@ def _check_rows(rows: np.ndarray, d: int) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != d:
         raise ValueError(f"expected rows of dimension {d}, got shape {rows.shape}")
-    # single-pass screen: any NaN/Inf entry makes the sum non-finite; a
-    # non-finite sum of finite entries (overflow) is ruled out exactly
-    with np.errstate(over="ignore"):
+    # single-pass screen: any NaN/Inf entry makes the sum non-finite (inf - inf
+    # is nan); a non-finite sum of finite entries (overflow) is ruled out exactly
+    with np.errstate(over="ignore", invalid="ignore"):
         total = rows.sum()
     if rows.size and not np.isfinite(total) and not np.isfinite(rows).all():
         raise ValueError("attribute vectors contain non-finite entries")

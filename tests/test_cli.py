@@ -382,6 +382,18 @@ def test_projection_overflow_is_data_error(tmp_path, capsys):
     assert err.startswith("data-error: graph '0' (index 0): lsp_p projection bucket outside int64")
 
 
+@pytest.mark.parametrize("options", [["--method", "lsp-t"], ["--method", "lsp-p"],
+                                     ["--method", "lsp-p", "--zscore"]])
+def test_infinite_attributes_of_both_signs_are_data_error(tmp_path, capsys, options):
+    # inf + -inf is nan: a numpy "invalid value" warning, an error under this suite's filters
+    src = tmp_path / "inf.lspg"
+    src.write_text("lspg 1\nG a\nN 2 1\nM 1 0\nnode 0 inf\nnode 1 -inf\nedge 0 1\n")
+    code, _, err = run(["prune", "--input", str(src), "--output", str(tmp_path / "o.lspg")]
+                       + options, capsys)
+    assert code == 2
+    assert err == "data-error: graph 'a' (index 0): attribute vectors contain non-finite entries\n"
+
+
 def test_random_negative_seed_is_usage_error(tmp_path, sample_container, capsys):
     code, _, err = run(
         ["prune", "--input", str(sample_container), "--output", str(tmp_path / "o.lspg"),
@@ -429,6 +441,20 @@ def test_generate_negative_seed_is_usage_error(tmp_path, capsys):
     assert code == 1
     assert err.startswith("usage-error: seed must be >= 0")
     assert not (tmp_path / "d.lspg").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--node-centers-std", "--edge-centers-std",
+                                  "--node-noise-std", "--edge-noise-std"])
+def test_generate_non_finite_std_is_usage_error(tmp_path, capsys, flag, value):
+    code, out, err = run(
+        ["generate", "--output", str(tmp_path / "d.lspg"), "--num-samples", "2", flag, value],
+        capsys,
+    )
+    assert code == 1
+    name = flag[2:].replace("-", "_")
+    assert err.startswith(f"usage-error: {name} must be finite and >= 0, got {value}")
+    assert out == "" and not (tmp_path / "d.lspg").exists()
 
 
 def test_stats_negative_seed_is_usage_error(tmp_path, sample_container, capsys):

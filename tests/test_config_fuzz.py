@@ -2,8 +2,8 @@
 
 Every option of a subcommand is left out, set by a config line or set by its
 flag, to a plausible value or to junk; config lines come with comments, junk
-lines and any line break ``str.splitlines`` knows.  Two properties hold for
-every input:
+lines and any line break ``str.splitlines`` knows, and are read in pieces of
+a few bytes.  Two properties hold for every input:
 
 * the run ends in exit 0, 1 or 2, never in 3 (an internal error);
 * the echo of a run that succeeds, fed back alone through ``--config``,
@@ -18,14 +18,17 @@ import io
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lsprune.container as container
 from lsprune import write_container
 from lsprune.cli import _COMMANDS, _flag, main
+from lsprune.container import ContainerFormatError, parse_config_file
 
 from util import random_graph
 
@@ -152,11 +155,32 @@ def test_configs_and_text_flags_never_fail_internally_and_echoes_replay(files, d
         argv, text = data.draw(_runs(files, outdir))
         config = scratch / "run.cfg"
         config.write_text(text, encoding="utf-8", newline="")
-        code, echo, err = _main(argv + ["--config", str(config)])
-        assert code in (0, 1, 2), err
-        if code != 0:
-            return
-        first = _outputs(outdir)
-        config.write_text(echo, encoding="utf-8", newline="")
-        assert _main([argv[0], "--config", str(config)])[:2] == (0, echo)
+        with mock.patch.object(container, "_READ_CHUNK", data.draw(st.integers(1, 64))):
+            code, echo, err = _main(argv + ["--config", str(config)])
+            assert code in (0, 1, 2), err
+            if code != 0:
+                return
+            first = _outputs(outdir)
+            config.write_text(echo, encoding="utf-8", newline="")
+            assert _main([argv[0], "--config", str(config)])[:2] == (0, echo)
         assert _outputs(outdir) == first
+
+
+@settings(max_examples=200)
+@example(lines=["a = 1", "", "# k = 0"], at=3,  # "\r" + "" + "\n" is one break: "k = 2" is line 4
+         breaks=["\r", "\n", "\x85", "\u2028", "\r\n", "\n"], chunk=1)
+@given(lines=st.lists(st.sampled_from(["a = 1", "# k = 0", "", " \t", "b=x y"]), max_size=5,
+                     unique=True),
+       at=st.integers(0, 6), breaks=st.lists(st.sampled_from(_BREAKS), min_size=8, max_size=8),
+       chunk=st.integers(1, 16))
+def test_repeated_config_key_names_the_line_str_splitlines_gives(lines, at, breaks, chunk):
+    lines = lines[:at] + ["k = 1"] + lines[at:] + ["k = 2", "c = 3"]
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    with tempfile.TemporaryDirectory() as scratch:
+        config = Path(scratch) / "run.cfg"
+        config.write_text(text, encoding="utf-8", newline="")
+        with mock.patch.object(container, "_READ_CHUNK", chunk):
+            with pytest.raises(ContainerFormatError) as info:
+                parse_config_file(config)
+    line = text.splitlines().index("k = 2") + 1
+    assert str(info.value) == f"line {line}: config key 'k' given twice"

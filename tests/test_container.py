@@ -343,3 +343,50 @@ def test_write_atomically_keeps_the_old_file_on_failure(tmp_path):
     with pytest.raises(FileNotFoundError) as info:
         container.write_atomically(tmp_path / "missing" / "out.txt", ["x"])
     assert info.value.filename == str(tmp_path / "missing" / "out.txt")
+
+
+_BREAKS = ["\r\n", "\x85", "\u2028", "\r", "\n"]
+
+
+def _text_with_bad_byte(lines, bad_line):
+    """UTF-8 ``lines`` joined by every kind of break; line ``bad_line`` (1-based) ends in 0xff."""
+    out = b""
+    for i, line in enumerate(lines, 1):
+        out += line.encode("utf-8") + (b"\xff" if i == bad_line else b"")
+        out += _BREAKS[i % len(_BREAKS)].encode("utf-8")
+    return out
+
+
+_BAD_BYTE_CASES = {
+    "container": (container.parse_container_detailed,
+                  ["lspg 1", "G a", "N 2 0", "M 1 0", "# note", "node 0", "node 1", "edge 0 1"]),
+    "family": (parse_family, ["lsph 1", "", "family lsp_t 1 2 16 1.0 0", "w 0 1.0 2.0"]),
+    "pairs": (container.parse_pairs, ["# u v", "0 1", "", "2 3", "4 5"]),
+    "config": (parse_config_file, ["k = 1", "# a comment", "", "seed = 2", "method = lsp-t"]),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, container._READ_CHUNK])
+@pytest.mark.parametrize("kind", sorted(_BAD_BYTE_CASES))
+def test_non_utf8_byte_names_its_line(tmp_path, kind, chunk):
+    read, lines = _BAD_BYTE_CASES[kind]
+    path = tmp_path / "bad"
+    for bad_line in range(1, len(lines) + 1):
+        path.write_bytes(_text_with_bad_byte(lines, bad_line))
+        with mock.patch.object(container, "_READ_CHUNK", chunk):
+            with pytest.raises(ContainerFormatError) as info:
+                read(path)
+        assert str(info.value) == f"line {bad_line}: not UTF-8 text: invalid start byte 0xff"
+
+
+@pytest.mark.parametrize("chunk", [1, 7, container._READ_CHUNK])
+def test_error_on_a_line_before_a_non_utf8_byte_comes_first(tmp_path, chunk):
+    path = tmp_path / "bad.lspg"
+    lines = ["lspg 1", "G a", "N 3 0", "M 0 0", "node 0", "node x", "node 2"]
+    path.write_bytes(_text_with_bad_byte(lines, 7))
+    with mock.patch.object(container, "_READ_CHUNK", chunk):
+        with pytest.raises(ContainerFormatError, match="line 6: node id must be an integer"):
+            parse_container_detailed(path)
+    path.write_bytes(_text_with_bad_byte(["lspg 2", "G a"], 2))
+    with pytest.raises(ContainerFormatError, match="line 1: magic mismatch"):
+        parse_container_detailed(path)

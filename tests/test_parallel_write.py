@@ -7,6 +7,7 @@ test.
 
 import errno
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -66,6 +67,19 @@ def test_write_container_stops_at_the_shorter_of_graphs_and_ids(tmp_path, writer
     write_container(graphs, out, graph_ids=["a", "b", "c", "d", "e"])
     assert out.read_text() == format_container(graphs[:5], ["a", "b", "c", "d", "e"])
     assert len(forks) == forked_workers(2, 2, 5)
+
+
+@pytest.mark.parametrize("bad", ["a b", "", "x\ny", "a\u2028b", "t\tab", "\x85"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_graph_id_the_reader_would_reject_is_refused(tmp_path, writer, cpus, bad):
+    graphs = _attributed(np.random.default_rng(4), 3)
+    forks = writer(cpus, 1)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    with pytest.raises(ValueError, match=f"graph id {re.escape(repr(bad))} is empty or holds"):
+        write_container(graphs, out_dir / "out.lspg", graph_ids=["a", "b", bad, "d"])
+    assert list(out_dir.iterdir()) == []  # no container and no temporary file
+    assert len(forks) == forked_workers(cpus, 1, 4)
 
 
 def test_generator_input_stays_serial(tmp_path, writer):
