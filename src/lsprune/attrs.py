@@ -83,6 +83,11 @@ class EdgeAttrTable:
 def _zscore_columns(mat: np.ndarray) -> np.ndarray:
     if not np.isfinite(mat).all():  # a column's mean and std would be nan or inf
         raise ValueError("attribute vectors contain non-finite entries")
+    if not len(mat):  # no rows: no mean or std to take
+        return mat
+    # a power of two per column brings its largest magnitude into [0.5, 1), so the mean and
+    # std neither overflow nor lose bits to underflow; the z-scores do not change under it
+    mat = np.ldexp(mat, -np.frexp(np.abs(mat).max(axis=0))[1])
     mean = mat.mean(axis=0)
     std = mat.std(axis=0)
     std[std == 0.0] = 1.0  # constant dimensions are centered, not scaled

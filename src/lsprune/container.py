@@ -26,8 +26,9 @@ tokens take the syntax of Python's ``int()`` and ``float()``.
 ``iter_container`` yields one block at a time and the writer takes any
 iterable of graphs, so a pipeline need hold only the graph at hand.  A
 sequence of graphs is formatted by forked workers, one per usable CPU and a
-batch of graphs at a time, into the bytes one process writes.  Every output
-is written atomically.
+batch of graphs at a time, into the bytes one process writes; each worker
+sends its text as pieces over a ``multiprocessing`` pipe connection.  Every
+output is written atomically.
 
 Hash-family parameters use the same line-oriented style under an ``lsph 1``
 magic so a pruning run can be replayed bit-exactly from its sidecar.
@@ -40,7 +41,6 @@ import itertools
 import os
 import pickle
 import signal
-import struct
 import sys
 import warnings
 from collections.abc import Sequence
@@ -558,7 +558,6 @@ def write_container(graphs, path, graph_ids=None) -> None:
 
 
 _BATCH = 4  # graphs a worker formats whole before it hands their text over
-_FRAME = struct.Struct("<q")  # a piece of n > 0 bytes, 0 for a batch's end, -n for an error
 
 
 def _worker_plan(graphs, graph_ids) -> tuple[int, int]:
@@ -593,18 +592,21 @@ def _one_thread() -> bool:
 def _forked_formatters(graphs, graph_ids, count: int, workers: int):
     """The container text of ``graphs[:count]`` in pieces, formatted by ``workers`` forked workers.
 
-    Worker ``w`` formats batches ``w, w + workers, ...``; the pieces of batch
-    ``b`` are read from worker ``b % workers`` in order.  Every worker is
-    killed and reaped on leaving.
+    Worker ``w`` formats batches ``w, w + workers, ...`` and sends their
+    pieces over its own pipe connection; the pieces of batch ``b`` are read
+    from worker ``b % workers`` in order.  Every worker is killed and reaped
+    on leaving.
     """
+    from multiprocessing.connection import Pipe  # here only: its import would slow every command
+
     sys.stdout.flush()  # text written before the fork is written once, by this process
     batches = -(-count // _BATCH)
     pids, pipes = [], []
     try:
         for first in range(workers):
-            read_end, write_end = os.pipe()
-            pipes.append(open(read_end, "rb"))
-            with open(write_end, "wb", buffering=0) as sink:
+            reader, sink = Pipe(duplex=False)
+            pipes.append(reader)
+            with sink:
                 if (pid := os.fork()) == 0:
                     mine = range(first, batches, workers)
                     _format_batches(graphs, graph_ids, count, mine, sink, pipes)
@@ -620,49 +622,35 @@ def _forked_formatters(graphs, graph_ids, count: int, workers: int):
 
 
 def _format_batches(graphs, graph_ids, count: int, batches: range, sink, readers) -> None:
-    """A worker's life: format each of ``batches`` whole, then write its pieces to ``sink``.
+    """A worker's life: format each of ``batches`` whole, then send its pieces to ``sink``.
 
-    A batch that fails is replaced by its exception, and the worker stops.
-    The worker leaves only through ``os._exit``, so nothing it inherited
-    (``finally`` blocks, buffered output, open files) runs or is flushed.
+    Each piece goes as a ``str`` and ``None`` ends a batch.  A batch that
+    fails is replaced by its exception, and the worker stops.  The worker
+    leaves only through ``os._exit``, so nothing it inherited (``finally``
+    blocks, buffered output, open files) runs or is flushed.
     """
     code = 1
     try:
-        for reader in readers:  # were they open here, a write to a dead parent would block
+        for reader in readers:  # were they open here, a send to a dead parent would block
             reader.close()
         for b in batches:
-            text = bytearray()
             try:
+                pieces = []
                 for i in range(b * _BATCH, min(b * _BATCH + _BATCH, count)):
                     gid = i if graph_ids is None else graph_ids[i]
-                    for piece in _block_pieces(gid, graphs[i]):
-                        if data := piece.encode("utf-8"):
-                            text += _FRAME.pack(len(data))
-                            text += data
-                text += _FRAME.pack(0)
+                    pieces.extend(_block_pieces(gid, graphs[i]))
             except Exception as exc:
-                _write_all(sink, _error_frame(exc))
+                try:  # the parent raises what it unpickles; this must survive that
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:
+                    exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+                sink.send(exc)
                 break
-            _write_all(sink, text)
+            for piece in pieces + [None]:
+                sink.send(piece)
         code = 0
     finally:
         os._exit(code)
-
-
-def _write_all(sink, data) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[sink.write(view) :]
-
-
-def _error_frame(exc: Exception) -> bytes:
-    """``exc`` pickled for the parent to raise; as a RuntimeError if it does not survive that."""
-    try:
-        data = pickle.dumps(exc)
-        pickle.loads(data)
-    except Exception:
-        data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-    return _FRAME.pack(-len(data)) + data
 
 
 def _read_batches(pipes, batches: int):
@@ -670,18 +658,19 @@ def _read_batches(pipes, batches: int):
     yield GRAPH_MAGIC + "\n"
     for b in range(batches):
         pipe = pipes[b % len(pipes)]
-        while size := _FRAME.unpack(_read_exactly(pipe, _FRAME.size))[0]:
-            data = _read_exactly(pipe, abs(size))
-            if size < 0:
-                raise pickle.loads(data)
-            yield data.decode("utf-8")
+        while (piece := _received(pipe)) is not None:
+            yield piece
 
 
-def _read_exactly(pipe, size: int) -> bytes:
-    data = pipe.read(size)
-    if len(data) != size:
-        raise RuntimeError("a container formatting worker exited before its batch was written")
-    return data
+def _received(pipe):
+    """A worker's next piece, or None at a batch's end; an exception it sent is raised here."""
+    try:
+        piece = pipe.recv()
+    except EOFError:
+        raise RuntimeError("a container formatting worker ended before sending its batch") from None
+    if isinstance(piece, Exception):
+        raise piece
+    return piece
 
 
 def format_family(family: LshFamily) -> str:

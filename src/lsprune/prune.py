@@ -33,6 +33,9 @@ class GraphError(ValueError):
         super().__init__(f"graph {index}: {detail}")
         self.index, self.detail = index, detail
 
+    def __reduce__(self):  # a forked worker's failure is pickled for the main process to raise
+        return type(self), (self.index, self.detail)
+
 
 @dataclass(frozen=True)
 class PruneStats:

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import lsprune
 import lsprune.cli as cli
-from lsprune import write_container
+from lsprune import Graph, write_container
 from lsprune.cli import main
 
 from util import forked_workers, random_graph, read_graphs
@@ -392,6 +393,45 @@ def test_infinite_attributes_of_both_signs_are_data_error(tmp_path, capsys, opti
                        + options, capsys)
     assert code == 2
     assert err == "data-error: graph 'a' (index 0): attribute vectors contain non-finite entries\n"
+
+
+@pytest.mark.parametrize("exponent", [520, -520])
+@pytest.mark.parametrize("attr_mode", ["node_only", "node_and_edge", "raw_edge"])
+def test_zscore_output_does_not_depend_on_attribute_scale(tmp_path, capsys, exponent, attr_mode):
+    # a z-score is scale-invariant; at 2**520 the squares of the values overflow float64
+    rng = np.random.default_rng(6)
+    graphs = [random_graph(rng, 14, 0.4, node_dim=3, edge_dim=2) for _ in range(3)]
+    scaled = [Graph(g.num_nodes, g.edges, node_attrs=np.ldexp(g.node_attrs, exponent),
+                    edge_attrs=np.ldexp(g.edge_attrs, exponent)) for g in graphs]
+    kept, families = [], []
+    for name, dataset in (("plain", graphs), ("scaled", scaled)):
+        write_container(dataset, tmp_path / f"{name}.lspg")
+        out = tmp_path / f"{name}-out.lspg"
+        code, _, _ = run(["prune", "--input", str(tmp_path / f"{name}.lspg"), "--output",
+                          str(out), "--method", "lsp-p", "--zscore", "--attr-mode", attr_mode,
+                          "--k", "2", "--l", "0.5", "--seed", "3"], capsys)
+        assert code == 0
+        kept.append([g.edges.tolist() for g in read_graphs(out)])
+        families.append((tmp_path / f"{name}-out.lspg.family").read_bytes())
+    assert kept[0] == kept[1]
+    assert families[0] == families[1]
+    assert 0 < sum(map(len, kept[0])) < sum(g.num_edges for g in graphs)
+
+
+@pytest.mark.parametrize("text", ["N 2 1\nM 0 2\nnode 0 0.5\nnode 1 1.5\n", "N 0 1\nM 0 2\n"])
+@pytest.mark.parametrize("attr_mode", ["node_only", "node_and_edge", "raw_edge"])
+def test_zscore_on_a_graph_without_edges_or_nodes(tmp_path, capsys, text, attr_mode):
+    # an attribute column with no rows has no mean: it is left as it is, with no warning
+    src = tmp_path / "empty.lspg"
+    src.write_text("lspg 1\nG a\n" + text)
+    out = tmp_path / "o.lspg"
+    argv = ["prune", "--input", str(src), "--output", str(out), "--method", "lsp-p", "--zscore",
+            "--attr-mode", attr_mode]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.read_text() == src.read_text()
 
 
 def test_random_negative_seed_is_usage_error(tmp_path, sample_container, capsys):

@@ -24,7 +24,13 @@ from lsprune.container import (
 )
 from lsprune.generator import GeneratorConfig, generate_dataset
 
-from util import config_text, format_container, random_graph, read_graphs
+from util import (
+    config_text,
+    format_container,
+    random_graph,
+    read_graphs,
+    reference_parse_container,
+)
 
 
 def roundtrip(graphs, tmp_path, name="g.lspg"):
@@ -119,6 +125,25 @@ def test_nodelabels_all_or_none(tmp_path):
     )
     with pytest.raises(ContainerFormatError, match="all nodes or none"):
         read_graphs(path)
+
+
+@pytest.mark.parametrize("label", [2**63, -(2**63) - 1, 99999999999999999999])
+@pytest.mark.parametrize("reader", [read_graphs, reference_parse_container])
+def test_node_label_beyond_64_bits_names_its_line(tmp_path, reader, label):
+    path = tmp_path / "lab.lspg"
+    path.write_text(f"lspg 1\nG 0\nN 2 0\nM 1 0\nnode 0\nnode 1\nedge 0 1\nnodelabel 0 1\n"
+                    f"nodelabel 1 {label}\n")
+    with pytest.raises(ContainerFormatError) as info:
+        reader(path)
+    assert str(info.value) == f"line 9: node label {label} does not fit in 64 bits"
+
+
+def test_node_labels_at_the_64_bit_ends_are_read(tmp_path):
+    path = tmp_path / "lab.lspg"
+    path.write_text(f"lspg 1\nG 0\nN 2 0\nM 0 0\nnode 0\nnode 1\nnodelabel 0 {2**63 - 1}\n"
+                    f"nodelabel 1 {-(2**63)}\n")
+    (g,) = read_graphs(path)
+    assert g.node_labels.tolist() == [2**63 - 1, -(2**63)]
 
 
 def test_comments_and_blanks_skipped(tmp_path):

@@ -90,6 +90,15 @@ def test_generator_input_stays_serial(tmp_path, writer):
     assert forks == []
 
 
+def test_generator_of_ids_stays_serial(tmp_path, writer):
+    graphs = _attributed(np.random.default_rng(12), 9)
+    ids = [f"g{i}" for i in range(len(graphs))]
+    forks = writer(2, 1)
+    write_container(graphs, tmp_path / "out.lspg", graph_ids=(gid for gid in ids))
+    assert (tmp_path / "out.lspg").read_text() == format_container(graphs, ids)
+    assert forks == []
+
+
 @pytest.mark.parametrize("cpus,batch", _SIZES)
 def test_generate_bytes_do_not_depend_on_workers(tmp_path, capsys, writer, cpus, batch):
     writer(1)
@@ -157,6 +166,48 @@ def test_worker_failure_fails_as_the_serial_path(tmp_path, capsys, monkeypatch, 
     assert (code, err) == (3, f"internal-error: RuntimeError: sample {at} failed\n")
     assert list(out_dir.iterdir()) == []  # no container and no temporary file
     assert len(forks) == forked_workers(cpus, batch, 7)
+
+
+@pytest.mark.parametrize("cpus,batch", _SIZES)
+def test_graph_error_in_a_worker_fails_as_the_serial_path(tmp_path, capsys, monkeypatch, writer,
+                                                          cpus, batch):
+    import lsprune.generator as generator
+    from lsprune.prune import GraphError
+
+    real = generator.generate_sample
+
+    def faulty(cfg, templates, index):
+        if index == 3:
+            raise GraphError(index, "boom")
+        return real(cfg, templates, index)
+
+    monkeypatch.setattr(generator, "generate_sample", faulty)
+    forks = writer(cpus, batch)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, _, err = _run(["generate", "--output", str(out_dir / "d.lspg")] + _GENERATE, capsys)
+    assert (code, err) == (2, "data-error: graph 3: boom\n")
+    assert list(out_dir.iterdir()) == []  # no container and no temporary file
+    assert len(forks) == forked_workers(cpus, batch, 7)
+
+
+def test_worker_that_ends_before_sending_its_batch_is_an_error(tmp_path, monkeypatch, writer):
+    real = container._block_pieces
+
+    def dying(gid, g):  # runs in the worker only: the writer forks for these graphs
+        if gid == "c":
+            os._exit(1)
+        return real(gid, g)
+
+    monkeypatch.setattr(container, "_block_pieces", dying)
+    graphs = _attributed(np.random.default_rng(9), 3)
+    forks = writer(2, 1)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    with pytest.raises(RuntimeError, match="worker ended before sending its batch"):
+        write_container(graphs, out_dir / "out.lspg", graph_ids=["a", "b", "c", "d"])
+    assert list(out_dir.iterdir()) == []
+    assert len(forks) == forked_workers(2, 1, 4)
 
 
 def test_parent_os_error_mid_stream_leaves_no_output(tmp_path, capsys, monkeypatch, writer):
@@ -241,6 +292,34 @@ def test_stdout_written_before_the_fork_appears_once(tmp_path):
     workers = forked_workers(2, container._BATCH, 7)
     assert (serial.stderr, forked.stderr) == ("forks 0", f"forks {workers}")
     assert (tmp_path / "2.lspg").read_bytes() == (tmp_path / "1.lspg").read_bytes()
+
+
+_IMPORTED_AFTER = """
+import os, sys
+import lsprune.cli as cli
+os.sched_getaffinity = lambda _pid: {0, 1}
+for argv in sys.argv[1:]:
+    assert cli.main(argv.split()) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "multiprocessing"))
+"""
+
+
+def test_only_a_forking_writer_imports_multiprocessing(tmp_path):
+    # its import would cost every command that never forks, such as stats and compare
+    src = str(Path(lsprune.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    data, out = tmp_path / "d.lspg", tmp_path / "out"
+    write_container(_attributed(np.random.default_rng(13), 8), data)
+    never = [f"stats --input {data} --output {out}.tsv --fractions 0.5",
+             f"compare --input {data} --pruned {data} --output {out}.tsv --all-pairs"]
+    forking = f"prune --input {data} --output {out}.lspg --method random"  # 9 graphs, 2 workers
+    imported = []
+    for argv in (never, never + [forking]):
+        run = subprocess.run([sys.executable, "-c", _IMPORTED_AFTER] + argv, env=env,
+                             capture_output=True, text=True, check=True)
+        imported.append(run.stdout.splitlines()[-1])
+    assert imported[0] == "[]"
+    assert "'multiprocessing.connection'" in imported[1]
 
 
 _KILLED_MID_WRITE = """

@@ -429,6 +429,8 @@ def _parse_block(cursor: _Lines, header: list[str], header_line: int):
         if nid in labels:
             raise ContainerFormatError(f"duplicate nodelabel for node {tokens[1]}", line)
         labels[nid] = _want_int(tokens[2], "node label", line)
+        if not -(2**63) <= labels[nid] < 2**63:
+            raise ContainerFormatError(f"node label {labels[nid]} does not fit in 64 bits", line)
     if labels and len(labels) != num_nodes:
         raise ContainerFormatError(
             f"count mismatch: {len(labels)} nodelabel lines for {num_nodes} nodes "
