@@ -3,7 +3,7 @@
 Three regimes are supported, depending on which raw attributes the graph
 carries:
 
-* ``node_only``      -- row for edge (u, v) is ``[x_u | x_v]``
+* ``node_only``      -- vector of edge (u, v) is ``[x_u | x_v]``
 * ``node_and_edge``  -- ``[x_u | e_uv | x_v]``
 * ``raw_edge``       -- ``e_uv`` unchanged
 
@@ -13,13 +13,18 @@ attribute vector.  ``center_first`` instead puts the querying endpoint's own
 attribute first, which makes each edge carry two vectors (one per endpoint);
 it exists for directed inputs and experimentation.
 
+The vectors are kept as their blocks (the node matrix gathered by endpoint,
+the edge matrix), not as an ``(|E|, d)`` row matrix: lsp-t hashes the blocks
+as they are, and only lsp-p assembles the rows.
+
 Scalar (categorical) node or edge attributes are lifted to vectors through a
 seeded random embedding table whose column ``r`` embeds the value ``r``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -37,47 +42,80 @@ ENDPOINT_ORDERS = (CANONICAL, CENTER_FIRST)
 
 @dataclass(frozen=True)
 class EdgeAttrTable:
-    """Constructed edge-attribute matrix, one row per edge.
+    """Edge-attribute vectors of a graph, one per edge, kept as blocks.
 
-    ``rows[i]`` is the attribute of edge ``i`` oriented with the smaller
-    endpoint's block first.  ``node_dim`` is the width of each endpoint
-    block (0 for ``raw_edge``), so the reversed orientation can be derived
-    for ``center_first`` queries.
+    ``node_attrs`` (``None`` under ``raw_edge``) and ``edge_attrs`` (``None``
+    under ``node_only``) are the graph's matrices after any z-scoring, and
+    ``edges`` its endpoints, smaller first.  :meth:`blocks` lists the vector
+    of every edge as ``(matrix, index)`` pairs; :attr:`rows` assembles them.
+    ``swapped`` marks the view of each edge's larger endpoint, whose endpoint
+    blocks are exchanged (see :meth:`oriented`).
     """
 
-    rows: np.ndarray
+    mode: str
     endpoint_order: str
-    node_dim: int
+    node_attrs: np.ndarray | None
+    edge_attrs: np.ndarray | None
+    edges: np.ndarray
+    swapped: bool = False
 
     def __post_init__(self) -> None:
         if self.endpoint_order not in ENDPOINT_ORDERS:
             raise ValueError(f"unknown endpoint order {self.endpoint_order!r}")
-        rows = np.asarray(self.rows, dtype=np.float64)
-        object.__setattr__(self, "rows", rows)
+
+    @property
+    def node_dim(self) -> int:
+        """Width of each endpoint block (0 for ``raw_edge``)."""
+        return 0 if self.node_attrs is None else self.node_attrs.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.rows.shape[1]
+        return 2 * self.node_dim + (0 if self.edge_attrs is None else self.edge_attrs.shape[1])
 
     @property
     def num_edges(self) -> int:
-        return self.rows.shape[0]
+        return len(self.edges)
 
-    def oriented_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Attribute rows as seen from each endpoint.
+    def __len__(self) -> int:
+        return self.num_edges
 
-        Returns ``(from_smaller, from_larger)``: the vector hashed when the
+    def blocks(self) -> list[tuple[np.ndarray, np.ndarray | None]]:
+        """The blocks of every edge's vector, in order, as ``(matrix, index)``.
+
+        Row ``i`` of a block is ``matrix[index[i]]``, or ``matrix[i]`` when
+        ``index`` is ``None``: the first endpoint's node block, the edge
+        block, then the second endpoint's node block.
+        """
+        first, second = self.edges[:, 0], self.edges[:, 1]
+        if self.swapped:
+            first, second = second, first
+        middle = [] if self.edge_attrs is None else [(self.edge_attrs, None)]
+        if self.node_attrs is None:
+            return middle
+        return [(self.node_attrs, first)] + middle + [(self.node_attrs, second)]
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The ``(|E|, dim)`` matrix of the vectors, assembled on first read."""
+        return np.concatenate(
+            [mat if idx is None else mat[idx] for mat, idx in self.blocks()], axis=1
+        )
+
+    def oriented(self) -> tuple["EdgeAttrTable", "EdgeAttrTable"]:
+        """The table as seen from each endpoint of an edge.
+
+        Returns ``(from_smaller, from_larger)``: the vectors hashed when the
         smaller / larger endpoint of the edge is the querying node.  The
         larger endpoint sees the two endpoint blocks exchanged; under
-        ``canonical`` order, or without endpoint blocks, both views are the
-        same array.
+        ``canonical`` order, or without endpoint blocks, both are this table.
         """
-        q = self.node_dim
-        if self.endpoint_order == CANONICAL or q == 0:
-            return self.rows, self.rows
-        return self.rows, np.concatenate(
-            [self.rows[:, -q:], self.rows[:, q:-q], self.rows[:, :q]], axis=1
-        )
+        if self.endpoint_order == CANONICAL or self.node_attrs is None:
+            return self, self
+        return self, self._swapped_view
+
+    @cached_property
+    def _swapped_view(self) -> "EdgeAttrTable":  # kept, so its rows are built once too
+        return replace(self, swapped=not self.swapped)
 
 
 def _zscore_columns(mat: np.ndarray) -> np.ndarray:
@@ -100,7 +138,7 @@ def build_edge_attrs(
     endpoint_order: str = CANONICAL,
     zscore: bool = False,
 ) -> EdgeAttrTable:
-    """Assemble the hash-input attribute row for every edge of ``g``.
+    """The hash-input attribute vector of every edge of ``g``, as blocks.
 
     Args:
         g: Source graph.  ``node_attrs`` must be present unless
@@ -109,12 +147,11 @@ def build_edge_attrs(
         mode: One of ``node_only``, ``node_and_edge``, ``raw_edge``.
         endpoint_order: ``canonical`` (endpoint-symmetric, default) or
             ``center_first``.
-        zscore: Standardize each input attribute dimension across the graph
-            before assembling rows.  Off by default; the projection bin width
-            is the usual scale knob.
+        zscore: Standardize each input attribute dimension across the graph.
+            Off by default; the projection bin width is the usual scale knob.
 
     Returns:
-        EdgeAttrTable with one row per edge, in edge-list order.
+        EdgeAttrTable with one vector per edge, in edge-list order.
     """
     if mode not in CONSTRUCTION_MODES:
         raise ValueError(f"unknown construction mode {mode!r}")
@@ -131,20 +168,17 @@ def build_edge_attrs(
         if needs_edges:
             edge_attrs = _zscore_columns(edge_attrs)
 
-    u = g.edges[:, 0]
-    v = g.edges[:, 1]
-    if mode == NODE_ONLY:
-        rows = np.concatenate([node_attrs[u], node_attrs[v]], axis=1)
-    elif mode == NODE_AND_EDGE:
-        rows = np.concatenate([node_attrs[u], edge_attrs, node_attrs[v]], axis=1)
-    else:
-        rows = np.array(edge_attrs, dtype=np.float64)
-    q = 0 if mode == RAW_EDGE else node_attrs.shape[1]
-    return EdgeAttrTable(rows=rows, endpoint_order=endpoint_order, node_dim=q)
+    return EdgeAttrTable(
+        mode=mode,
+        endpoint_order=endpoint_order,
+        node_attrs=node_attrs if needs_nodes else None,
+        edge_attrs=edge_attrs if needs_edges else None,
+        edges=g.edges,
+    )
 
 
 def edge_attr_dim(g: Graph, mode: str) -> int:
-    """Width of the rows :func:`build_edge_attrs` assembles for ``g`` under ``mode``.
+    """Width of the vectors :func:`build_edge_attrs` builds for ``g`` under ``mode``.
 
     Raises ValueError when ``g`` lacks an attribute that ``mode`` needs.
     """

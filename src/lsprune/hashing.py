@@ -10,6 +10,14 @@ Two variants map ``R^d`` to integer buckets:
 * ``lsp_p`` (random projections): ``floor((<x, w> + b) / l)`` with standard
   normal direction ``w`` and offset ``b ~ U[0, l]``, yielding a signed bucket.
 
+An lsp_t bit is an exact comparison, so the signature of an edge's vector
+``[x_u | e_uv | x_v]`` is the bit concatenation of its blocks' signatures.
+``lsp_t`` therefore codes each node's block once, as ``uint64`` words at the
+block's bit offset, gathers the codes by endpoint and ORs in the edge block's
+code: the ``(|E|, d)`` rows are never built.  ``lsp_p`` projects assembled
+rows, since splitting the dot product by block would change its summation
+order and so, at a bin edge, its bucket.
+
 Function ``i`` of a family is derived from ``mix_seed(master_seed, i)``, so a
 family with more functions extends a smaller one sharing the same master
 seed.  Bucket values are deterministic for fixed (variant, master_seed, i, x)
@@ -26,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attrs import EdgeAttrTable
 from .seeding import mix_seed
 
 LSP_T = "lsp_t"
@@ -106,15 +115,21 @@ class LshFamily:
                 offsets[i] = rng.uniform(0.0, cfg.l)
         return cls(config=cfg, vectors=vectors, offsets=offsets)
 
-    def bucket_matrix(self, rows: np.ndarray) -> np.ndarray:
-        """``(k, n)`` bucket matrix of ``n`` row vectors under all functions.
+    def bucket_matrix(self, rows) -> np.ndarray:
+        """``(k, n)`` bucket matrix of ``n`` vectors under all functions.
 
-        Each (row, function) pair is hashed exactly once.
+        ``rows`` is an ``(n, d)`` array or an :class:`~lsprune.attrs.EdgeAttrTable`
+        of ``n`` edges.  ``lsp_t`` hashes a table's blocks without assembling
+        its rows (an array is one block); ``lsp_p`` projects the rows.  Each
+        (vector, function) pair is hashed exactly once.
         """
         cfg = self.config
-        rows = _check_rows(rows, cfg.d)
+        blocks = _checked_blocks(rows, cfg.d)
         if cfg.variant == LSP_T:
-            return np.stack([_signature_buckets(rows > t, cfg.m) for t in self.vectors])
+            return np.stack(
+                [_signature_buckets(_signature_keys(blocks, t), cfg.d, cfg.m) for t in self.vectors]
+            )
+        rows = rows.rows if isinstance(rows, EdgeAttrTable) else blocks[0][0]
         out = np.empty((cfg.k, len(rows)), dtype=np.int64)
         for i in range(cfg.k):
             with np.errstate(over="ignore"):  # an overflow to inf fails the range check
@@ -128,45 +143,80 @@ class LshFamily:
         return out
 
 
-def _check_rows(rows: np.ndarray, d: int) -> np.ndarray:
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != d:
-        raise ValueError(f"expected rows of dimension {d}, got shape {rows.shape}")
-    # single-pass screen: any NaN/Inf entry makes the sum non-finite (inf - inf
-    # is nan); a non-finite sum of finite entries (overflow) is ruled out exactly
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = rows.sum()
-    if rows.size and not np.isfinite(total) and not np.isfinite(rows).all():
-        raise ValueError("attribute vectors contain non-finite entries")
-    return rows
+def _checked_blocks(rows, d: int) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """The ``(matrix, index)`` blocks of ``rows``, whose vectors must be finite."""
+    if isinstance(rows, EdgeAttrTable):
+        blocks, shape = rows.blocks(), (len(rows), rows.dim)
+    else:
+        rows = np.asarray(rows, dtype=np.float64)
+        blocks, shape = [(rows, None)], rows.shape
+    if len(shape) != 2 or shape[1] != d:
+        raise ValueError(f"expected rows of dimension {d}, got shape {shape}")
+    # single-pass screen: any NaN/Inf entry makes the sum non-finite (inf - inf is nan);
+    # a non-finite sum of finite entries (overflow) is ruled out exactly.  A gathered
+    # block is checked on the rows it gathers only.
+    for mat, idx in blocks:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = mat.sum()
+        if mat.size and not np.isfinite(total):
+            finite = np.isfinite(mat).all(axis=1)
+            if not (finite if idx is None else finite[idx]).all():
+                raise ValueError("attribute vectors contain non-finite entries")
+    return blocks
 
 
-def _signature_buckets(bits: np.ndarray, m: int) -> np.ndarray:
-    """MD5-reduce boolean signatures (one per row) to buckets in [0, m).
+def _signature_keys(blocks, t: np.ndarray) -> np.ndarray:
+    """``(n, W)`` signatures of the blocks' vectors under thresholds ``t``, as ``uint64`` words.
 
-    Rows often share a signature, so each distinct packed row is hashed once
-    and its bucket scattered back to every row that carries it.  Packed rows
-    of up to 8 bytes are deduplicated as left-aligned big-endian ``uint64``
-    keys, which sort several times faster than ``void`` keys.
+    Word ``j`` of a row holds bits ``64j .. 64j + 63`` of the signature ``x > t``,
+    MSB first, so the big-endian bytes of its ``W = ceil(d / 64)`` words are the
+    signature packed and zero-padded.  Each block is coded once per row of its
+    matrix at its bit offset, then gathered by its index; the blocks' codes
+    occupy disjoint bits, so OR joins them.
     """
-    n, d = bits.shape
-    width = -(-d // 8)  # bytes of a packed signature
+    words = -(-len(t) // 64)
+    keys, lo = None, 0
+    for mat, idx in blocks:
+        code = _packed_words(mat > t[lo : lo + mat.shape[1]], lo, words)
+        code = code if idx is None else np.take(code, idx, axis=0)
+        keys = code if keys is None else np.bitwise_or(keys, code, out=keys)
+        lo += mat.shape[1]
+    return keys
+
+
+def _packed_words(bits: np.ndarray, lo: int, words: int) -> np.ndarray:
+    """``bits`` (one row each) placed at bit ``lo`` of ``words`` MSB-first ``uint64`` words."""
+    n, w = bits.shape
+    first, shift = divmod(lo, 8)  # whole bytes before the block; its bits in the next byte
+    nbytes = -(-(shift + w) // 8)
     # whole bytes per row, so one flat packbits packs each row MSB first with a
     # zero-padded tail (packbits along axis 1 is several times slower)
-    padded = np.zeros((n, 8 * width), dtype=bool)
-    padded[:, :d] = bits
-    packed = np.packbits(padded.reshape(-1)).reshape(n, width)
-    if width <= 8:
-        keys = np.zeros((n, 8), dtype=np.uint8)
-        keys[:, :width] = packed
-        keys = keys.view(">u8")
+    padded = np.zeros((n, 8 * nbytes), dtype=bool)
+    padded[:, shift : shift + w] = bits
+    packed = np.zeros((n, 8 * words), dtype=np.uint8)
+    packed[:, first : first + nbytes] = np.packbits(padded.reshape(-1)).reshape(n, nbytes)
+    return packed.view(">u8").astype(np.uint64)
+
+
+def _signature_buckets(keys: np.ndarray, d: int, m: int) -> np.ndarray:
+    """MD5-reduce ``d``-bit signatures (``(n, W)`` words, one row each) to buckets in [0, m).
+
+    Rows often share a signature, so each distinct signature is hashed once
+    and its bucket scattered back to every row that carries it.  One-word
+    signatures (``d <= 64``) are deduplicated as ``uint64`` keys, which sort
+    several times faster than the ``void`` keys of longer ones.
+    """
+    width = -(-d // 8)  # bytes of a packed signature
+    words = keys.shape[1]
+    if words == 1:
+        uniq, inverse = np.unique(keys.ravel(), return_inverse=True)
+        uniq = uniq.astype(">u8")
     else:
-        keys = packed.view((np.void, width))
-    uniq, inverse = np.unique(keys.ravel(), return_inverse=True)
-    # the packed bytes of each distinct signature, without the uint64 padding
-    raw = np.ascontiguousarray(uniq.view(np.uint8).reshape(-1, uniq.itemsize)[:, :width])
+        wide = keys.astype(">u8").view((np.void, 8 * words)).ravel()
+        uniq, inverse = np.unique(wide, return_inverse=True)
+    # the packed bytes of each distinct signature, without the zero padding of its last word
+    raw = np.ascontiguousarray(uniq.view(np.uint8).reshape(len(uniq), 8 * words)[:, :width])
     md5 = hashlib.md5
     digests = b"".join([md5(s).digest()[:8] for s in raw.view((np.void, width)).ravel().tolist()])
     heads = np.frombuffer(digests, dtype=">u8")  # first 8 digest bytes, big-endian
     return (heads % m).astype(np.int64)[inverse]
-

@@ -141,9 +141,9 @@ def lsp_prune(
 
     adj = adjacency if adjacency is not None else build_adjacency(g)
 
-    rows_small, rows_large = attrs.oriented_rows()
-    h_small = family.bucket_matrix(rows_small)  # (k, |E|), one evaluation per edge per function
-    h_large = h_small if rows_large is rows_small else family.bucket_matrix(rows_large)
+    from_small, from_large = attrs.oriented()
+    h_small = family.bucket_matrix(from_small)  # (k, |E|), one evaluation per edge per function
+    h_large = h_small if from_large is from_small else family.bucket_matrix(from_large)
 
     nbrs = adj.neighbors
     eidx = adj.edge_index

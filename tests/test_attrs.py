@@ -55,22 +55,22 @@ def test_missing_attributes_rejected():
 def test_center_first_swaps_endpoint_blocks():
     g = Graph(2, [(0, 1)], node_attrs=[[1.0], [2.0]], edge_attrs=[[9.0]])
     table = build_edge_attrs(g, "node_and_edge", CENTER_FIRST)
-    from_smaller, from_larger = table.oriented_rows()
-    assert from_smaller.tolist() == [[1.0, 9.0, 2.0]]
-    assert from_larger.tolist() == [[2.0, 9.0, 1.0]]
+    from_smaller, from_larger = table.oriented()
+    assert from_smaller.rows.tolist() == [[1.0, 9.0, 2.0]]
+    assert from_larger.rows.tolist() == [[2.0, 9.0, 1.0]]
 
 
 def test_canonical_oriented_rows_share_storage():
     table = build_edge_attrs(two_node_graph(), "node_only", CANONICAL)
-    a, b = table.oriented_rows()
-    assert a is b
+    a, b = table.oriented()
+    assert a is b and a.rows is b.rows
 
 
 def test_center_first_raw_edge_is_orientation_free():
     g = Graph(2, [(0, 1)], edge_attrs=[[7.0, 8.0]])
     table = build_edge_attrs(g, "raw_edge", CENTER_FIRST)
-    a, b = table.oriented_rows()
-    assert np.array_equal(a, b)
+    a, b = table.oriented()
+    assert np.array_equal(a.rows, b.rows)
 
 
 def test_determinism_given_same_inputs():

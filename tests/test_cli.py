@@ -395,6 +395,52 @@ def test_infinite_attributes_of_both_signs_are_data_error(tmp_path, capsys, opti
     assert err == "data-error: graph 'a' (index 0): attribute vectors contain non-finite entries\n"
 
 
+NON_FINITE = "data-error: graph 'a' (index 0): attribute vectors contain non-finite entries\n"
+
+
+def _prune_one_graph(tmp_path, capsys, nodes, edge_attr, options):
+    src = tmp_path / "in.lspg"
+    src.write_text("lspg 1\nG a\nN 3 1\nM 1 1\n"
+                   + "".join(f"node {i} {x}\n" for i, x in enumerate(nodes))
+                   + f"edge 0 1 {edge_attr}\n")
+    out = tmp_path / "o.lspg"
+    out.unlink(missing_ok=True)  # an earlier call's output
+    code, _, err = run(["prune", "--input", str(src), "--output", str(out),
+                        "--method", "lsp-t"] + options, capsys)
+    assert out.exists() == (code == 0)
+    return code, err
+
+
+@pytest.mark.parametrize("order", ["canonical", "center_first"])
+@pytest.mark.parametrize("mode", ["node_only", "node_and_edge"])
+def test_non_finite_attribute_of_an_isolated_node_is_checked_only_by_zscore(
+    tmp_path, capsys, mode, order
+):
+    # node 2 has no edge, so no hashed vector holds its nan; --zscore takes the mean of
+    # every node's column and rejects it
+    options = ["--attr-mode", mode, "--endpoint-order", order]
+    assert _prune_one_graph(tmp_path, capsys, [0.5, 1.5, "nan"], 0.25, options) == (0, "")
+    code, err = _prune_one_graph(tmp_path, capsys, [0.5, 1.5, "nan"], 0.25, options + ["--zscore"])
+    assert (code, err) == (2, NON_FINITE)
+
+
+@pytest.mark.parametrize("order", ["canonical", "center_first"])
+@pytest.mark.parametrize("mode, nodes, edge_attr", [
+    ("node_only", [0.5, "nan", 2.0], 0.25),  # the larger endpoint
+    ("node_only", ["-inf", 1.5, 2.0], 0.25),  # the smaller endpoint
+    ("node_and_edge", [0.5, "nan", 2.0], 0.25),
+    ("node_and_edge", [0.5, 1.5, 2.0], "inf"),  # the edge block
+    ("raw_edge", [0.5, 1.5, 2.0], "-inf"),
+    ("raw_edge", ["nan", "nan", "nan"], 0.25),  # raw_edge hashes no node attribute
+])
+def test_non_finite_attribute_of_a_hashed_vector_is_a_data_error(
+    tmp_path, capsys, mode, nodes, edge_attr, order
+):
+    options = ["--attr-mode", mode, "--endpoint-order", order]
+    want = (0, "") if mode == "raw_edge" and edge_attr == 0.25 else (2, NON_FINITE)
+    assert _prune_one_graph(tmp_path, capsys, nodes, edge_attr, options) == want
+
+
 @pytest.mark.parametrize("exponent", [520, -520])
 @pytest.mark.parametrize("attr_mode", ["node_only", "node_and_edge", "raw_edge"])
 def test_zscore_output_does_not_depend_on_attribute_scale(tmp_path, capsys, exponent, attr_mode):

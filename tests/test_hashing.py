@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lsprune import LshFamily, LshFamilyConfig
+from lsprune import Graph, LshFamily, LshFamilyConfig, build_edge_attrs
 
-from util import bucket_rows, collision_rate, md5_bucket
+from util import bucket_rows, collision_rate, md5_bucket, row_signature_buckets
 
 # first 8 bytes, big-endian, of MD5 over a single byte; frozen from an
 # independent digest computation
@@ -161,6 +161,47 @@ def test_repeated_signatures_match_hashlib(d, k, n, pool, m, seed):
     assert fam.bucket_matrix(base[:2]).tolist() == [
         [md5_bucket(np.zeros(d, bool), m), md5_bucket(np.ones(d, bool), m)]
     ] * k
+
+
+# (construction mode, node_dim, edge_dim): every d of 1, 8, 9, 64 and 65 the mode can
+# build, and (12, 45), whose second node block straddles the 64-bit word boundary
+CODE_LAYOUTS = [("raw_edge", 0, d_e) for d_e in (1, 8, 9, 64, 65)] + [
+    ("node_only", q, 0) for q in (1, 4, 32, 33)
+] + [("node_and_edge", q, d_e) for q, d_e in ((0, 1), (2, 4), (1, 7), (16, 32), (20, 25), (12, 45))]
+
+
+@pytest.mark.parametrize("zscore", [False, True])
+@pytest.mark.parametrize("order", ["canonical", "center_first"])
+@pytest.mark.parametrize("mode, q, d_e", CODE_LAYOUTS)
+@pytest.mark.parametrize("num_edges", [0, 60])
+def test_block_codes_match_buckets_of_assembled_rows(mode, q, d_e, order, zscore, num_edges):
+    # lsp_t hashes a table from per-block codes; under each orientation its buckets must
+    # equal those of the assembled rows, thresholded and packed row by row
+    rng = np.random.default_rng(q * 100 + d_e)
+    n = 12
+    iu, iv = np.triu_indices(n, 1)
+    edges = np.stack([iu, iv], axis=1)[rng.choice(len(iu), num_edges, replace=False)]
+    pool = rng.standard_normal((3, max(q, d_e)))  # repeated values make shared signatures
+    node_attrs = np.where(rng.random((n, q)) < 0.5, pool[0, :q], rng.standard_normal((n, q)))
+    edge_attrs = np.where(rng.random((num_edges, d_e)) < 0.5, pool[1, :d_e],
+                          rng.standard_normal((num_edges, d_e)))
+    g = Graph(n, edges, node_attrs=None if mode == "raw_edge" else node_attrs,
+              edge_attrs=None if mode == "node_only" else edge_attrs)
+    table = build_edge_attrs(g, mode, order, zscore=zscore)
+    d = table.dim
+    fam = LshFamily.from_config(LshFamilyConfig("lsp_t", d=d, k=3, m=2**63, master_seed=d))
+    views = table.oriented()
+    assert (views[1] is views[0]) == (order == "canonical" or mode == "raw_edge")
+    if views[1] is not views[0]:  # the larger endpoint's view exchanges the node blocks
+        rows = views[0].rows
+        assert np.array_equal(views[1].rows, np.concatenate(
+            [rows[:, d - q:], rows[:, q:d - q], rows[:, :q]], axis=1))
+    for view in views:
+        got = fam.bucket_matrix(view)
+        want = np.stack([row_signature_buckets(view.rows > t, 2**63) for t in fam.vectors])
+        assert got.shape == (3, num_edges) and got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert np.array_equal(fam.bucket_matrix(view.rows), want)
 
 
 def test_config_validation():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,25 @@ def test_dimension_mismatches_rejected():
     other = Graph(3, [(0, 1), (1, 2)], edge_attrs=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="rows"):
         lsp_prune(g, build_edge_attrs(other, "raw_edge"), family(d=2))
+
+
+def test_lsp_t_memory_stays_below_the_edge_rows():
+    # lsp-t hashes per-node and per-edge codes: the peak of building the table and
+    # pruning stays well below one float64 (|E|, d) row matrix
+    n, q = 2000, 32
+    rng = np.random.default_rng(30)
+    u = np.repeat(np.arange(n), 10)
+    v = (u + np.tile(np.arange(1, 11), n)) % n
+    g = Graph(n, np.stack([u, v], axis=1), node_attrs=rng.standard_normal((n, q)))
+    fam = family("lsp_t", d=2 * q, k=4, seed=31)
+    tracemalloc.start()
+    try:
+        res = lsp_prune(g, build_edge_attrs(g, "node_only"), fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges == 20_000 and res.stats.edges_out > 0
+    assert peak < g.num_edges * 2 * q * 8 / 2
 
 
 def test_hash_evaluations_once_per_edge_per_function(monkeypatch):

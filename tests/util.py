@@ -220,6 +220,23 @@ def md5_bucket(bits, m: int) -> int:
     return int.from_bytes(digest[:8], "big") % m
 
 
+def row_signature_buckets(bits: np.ndarray, m: int) -> np.ndarray:
+    """lsp-t buckets of boolean signatures, one per row, packed from assembled rows.
+
+    The row-based hashing that lsprune used before it coded each block of an
+    edge's vector on its own: rows packed with one flat ``packbits``, distinct
+    packed rows deduplicated, MD5 of each, first 8 bytes big-endian, mod ``m``.
+    """
+    n, d = bits.shape
+    width = -(-d // 8)
+    padded = np.zeros((n, 8 * width), dtype=bool)
+    padded[:, :d] = bits
+    packed = np.packbits(padded.reshape(-1)).reshape(n, width)
+    uniq, inverse = np.unique(packed.view((np.void, width)).ravel(), return_inverse=True)
+    heads = [int.from_bytes(hashlib.md5(s.tobytes()).digest()[:8], "big") for s in uniq]
+    return (np.array(heads, dtype=np.uint64) % np.uint64(m)).astype(np.int64)[inverse]
+
+
 # ---------------------------------------------------------------- reference readers
 # Line-by-line container, family and pair readers: each holds the whole text
 # and its line list, and checks one line at a time.  The streaming readers of
