@@ -24,14 +24,27 @@ from .graph import Graph, build_adjacency
 from .prune import RandomPruneConfig, random_prune
 from .seeding import mix_seed
 
-# bytes of the reach[neighbors] gather per k-hop block of sources
-_KHOP_BLOCK_BYTES = 8_000_000
-# node pairs per Jaccard chunk; bounds the neighbor lists gathered at once
-_JACCARD_CHUNK = 2048
+# byte bound of any one working array of the k-hop kernel and of a Jaccard chunk:
+# a k-hop level's reach, gathered row chunk and grown block then fit a 2 MiB L2 cache
+_KHOP_BLOCK_BYTES = 512_000
 
 
 def _row_popcount(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+
+
+def _runs(spans: np.ndarray, cap: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` runs of consecutive items whose ``spans`` add up to at most ``cap``.
+
+    An item that spans more than ``cap`` is a run of its own.
+    """
+    offsets = np.cumsum(np.append(0, spans))
+    runs, a = [], 0
+    while a < len(spans):
+        b = max(a + 1, int(np.searchsorted(offsets, offsets[a] + cap, side="right")) - 1)
+        runs.append((a, b))
+        a = b
+    return runs
 
 
 def _khop_counts(g: Graph, depths: tuple[int, ...]) -> np.ndarray:
@@ -43,6 +56,14 @@ def _khop_counts(g: Graph, depths: tuple[int, ...]) -> np.ndarray:
     hop are ``v`` and its neighbors.  Each deeper level ORs every node's
     neighbor rows into its own; a block stops expanding once a level adds no
     bit, since every deeper level is then the same.
+
+    The expansion is cache-blocked by ``_KHOP_BLOCK_BYTES``.  A block is as
+    many words wide as keeps ``reach`` within it (one word, and more bytes,
+    above ``_KHOP_BLOCK_BYTES / 8`` live nodes).  Each deeper level walks the
+    CSR in row chunks whose gathered neighbor words keep within it too, a row
+    longer than that being a chunk of its own, and ORs each chunk's
+    ``reduceat`` straight into a fresh ``grown`` block.  The level-1 scatter
+    holds index arrays as long as the block's stretch of the CSR.
     """
     limit = max(depths)
     counts = np.zeros((len(depths), g.num_nodes), dtype=np.int64)
@@ -56,11 +77,14 @@ def _khop_counts(g: Graph, depths: tuple[int, ...]) -> np.ndarray:
     live = int(has.sum())
     nbrs = (np.cumsum(has) - 1)[adj.neighbors]
     bounds = np.append(adj.indptr[:-1][has], len(nbrs))  # CSR offsets over live nodes
-    starts = bounds[:-1]
     bit = np.uint64(1) << (np.arange(live) % 64).astype(np.uint64)  # a source's bit in its word
     words = -(-live // 64)
-    # words of sources per block; reach itself (live rows) is no larger than the gather
-    block = max(1, _KHOP_BLOCK_BYTES // (8 * len(nbrs)))
+    block = min(words, max(1, _KHOP_BLOCK_BYTES // (8 * live)))  # words of sources per block
+    # rows, neighbors and reduceat offsets of each row chunk
+    chunks = [
+        (slice(a, b), nbrs[bounds[a] : bounds[b]], bounds[a:b] - bounds[a])
+        for a, b in _runs(np.diff(bounds), _KHOP_BLOCK_BYTES // (8 * block))
+    ]
     sizes_at = np.zeros((len(depths), live), dtype=np.int64)
     for w0 in range(0, words, block):
         width = min(block, words - w0)
@@ -75,7 +99,13 @@ def _khop_counts(g: Graph, depths: tuple[int, ...]) -> np.ndarray:
         np.bitwise_or.at(flat, nbrs[bounds[lo] : bounds[hi]] * width + src // 64 - w0, bit[src])
         sizes = [_row_popcount(reach)]  # sizes[j]: reach within level j + 1
         while len(sizes) < limit:
-            grown = reach | np.bitwise_or.reduceat(reach[nbrs], starts, axis=0)
+            grown = np.empty_like(reach)
+            for rows, seg, offsets in chunks:
+                # np.take gathers rows several times faster than reach[seg]
+                np.bitwise_or.reduceat(
+                    np.take(reach, seg, axis=0), offsets, axis=0, out=grown[rows]
+                )
+                grown[rows] |= reach[rows]
             if np.array_equal(grown, reach):
                 break
             reach = grown
@@ -224,6 +254,12 @@ def jaccard_locality(g: Graph, g_pruned: Graph, pairs) -> np.ndarray:
     ``J(u, v) = |N_u & N_v| / |N_u | N_v|`` and the empty/empty case (two
     isolated nodes) is defined as 1.  Consistent pruning should keep similar
     pairs similar; that is what this quantifies.
+
+    ``|N_u & N_v|`` is counted by looking each entry of the shorter neighbor
+    list up in the sorted ``row * n + neighbor`` keys of the adjacency.  Pairs
+    go in chunks of walked entries whose int64 arrays keep within
+    ``_KHOP_BLOCK_BYTES``, so hub pairs do not raise the peak; a pair that
+    walks more than that is a chunk of its own.
     """
     if g_pruned.num_nodes != g.num_nodes:
         raise ValueError("pruned graph must keep the original node set")
@@ -241,8 +277,11 @@ def jaccard_locality(g: Graph, g_pruned: Graph, pairs) -> np.ndarray:
         deg = adj.degrees
         # row * n + neighbor is ascending along the CSR, so lookups can bisect it
         keys = np.repeat(np.arange(n, dtype=np.int64), deg) * n + adj.neighbors
-        for start in range(0, len(pairs), _JACCARD_CHUNK):
-            u, v = pairs[start : start + _JACCARD_CHUNK].T
+        # a pair walks its shorter list, plus one entry so that pairs of isolated nodes
+        # count too; each int64 array over a chunk's entries takes half the budget at most
+        chunks = _runs(np.minimum(deg[pairs[:, 0]], deg[pairs[:, 1]]) + 1, _KHOP_BLOCK_BYTES // 16)
+        for start, stop in chunks:
+            u, v = pairs[start:stop].T
             swap = deg[u] > deg[v]  # walk the shorter list, look each entry up in the other
             u, v = np.where(swap, v, u), np.where(swap, u, v)
             lens = deg[u]
@@ -252,7 +291,7 @@ def jaccard_locality(g: Graph, g_pruned: Graph, pairs) -> np.ndarray:
             pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
             inter = np.bincount(owner[keys[pos] == query], minlength=len(u))
             union = deg[u] + deg[v] - inter  # |N_u | N_v| = d_u + d_v - |N_u & N_v|
-            out[start : start + len(u), col] = np.divide(
+            out[start:stop, col] = np.divide(
                 inter, union, out=np.ones(len(u)), where=union > 0
             )
     return out

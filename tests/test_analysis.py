@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -77,25 +78,36 @@ def test_khop_matches_floyd_warshall_oracle():
         st.just([1]),
         st.lists(st.one_of(st.integers(1, 4), st.integers(5, 90)), min_size=1, max_size=5),
     ),
-    one_word_blocks=st.booleans(),
+    # a one-byte budget gives one-word blocks and one-row chunks; 512 and 2048 bytes
+    # give blocks of one or two words whose levels walk the CSR in several row chunks
+    budget=st.sampled_from([1, 512, 2048, analysis._KHOP_BLOCK_BYTES]),
+    hub=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n=64, components=1, edge_prob=0.05, depths=[3, 1, 3], one_word_blocks=True, seed=0)
-@example(n=65, components=2, edge_prob=0.1, depths=[90, 2], one_word_blocks=True, seed=1)
-@example(n=65, components=1, edge_prob=0.03, depths=[1, 2, 4], one_word_blocks=False, seed=2)
-@example(n=150, components=3, edge_prob=0.05, depths=[1], one_word_blocks=True, seed=3)
-def test_khop_kernel_matches_floyd_warshall(n, components, edge_prob, depths,
-                                            one_word_blocks, seed):
-    # nodes of component -1 stay isolated; no edge joins two components
+@example(n=64, components=1, edge_prob=0.05, depths=[3, 1, 3], budget=1, hub=False, seed=0)
+@example(n=65, components=2, edge_prob=0.1, depths=[90, 2], budget=1, hub=False, seed=1)
+@example(n=65, components=1, edge_prob=0.03, depths=[1, 2, 4],
+         budget=analysis._KHOP_BLOCK_BYTES, hub=False, seed=2)
+@example(n=150, components=3, edge_prob=0.05, depths=[1], budget=1, hub=False, seed=3)
+# two-word blocks, each level in four row chunks of up to 128 entries
+@example(n=150, components=1, edge_prob=0.08, depths=[1, 2, 3], budget=2048, hub=False, seed=4)
+# the hub's row of 71 entries is longer than a chunk of 64
+@example(n=150, components=1, edge_prob=0.02, depths=[2, 1, 5], budget=512, hub=True, seed=5)
+def test_khop_kernel_matches_floyd_warshall(n, components, edge_prob, depths, budget, hub,
+                                            seed):
+    # nodes of component -1 stay isolated; no edge joins two components; with a hub,
+    # the first node of each component is joined to every other node of it
     rng = np.random.default_rng(seed)
     comp = rng.integers(-1, components, size=n)
     base = random_graph(rng, n, edge_prob)
     u, v = base.edges.T
-    g = Graph(n, base.edges[(comp[u] == comp[v]) & (comp[u] >= 0)])
+    edges = {tuple(e) for e in base.edges[(comp[u] == comp[v]) & (comp[u] >= 0)].tolist()}
+    for c in range(components if hub else 0):
+        members = np.flatnonzero(comp == c).tolist()
+        edges |= {(members[0], w) for w in members[1:]}
+    g = Graph(n, sorted(edges))
     dist = floyd_warshall_distances(g)
     want = np.array([floyd_warshall_khop(g, k, dist) for k in depths])
-    # a one-byte budget puts every 64-node word of sources in a block of its own
-    budget = 1 if one_word_blocks else analysis._KHOP_BLOCK_BYTES
     with mock.patch.object(analysis, "_KHOP_BLOCK_BYTES", budget):
         stats = neighborhood_stats(g, depths)
         sizes = [khop_sizes(g, k) for k in depths]
@@ -113,6 +125,24 @@ def test_two_block_graph_against_oracle():
     g = Graph(10, edges)
     for k in (1, 2, 3):
         assert np.array_equal(khop_sizes(g, k), floyd_warshall_khop(g, k))
+
+
+def test_khop_sweep_memory_stays_within_the_block_budget():
+    # 4,000 nodes and 40,000 edges: each k-hop working array keeps within
+    # _KHOP_BLOCK_BYTES, so the adjacency and its node-sized arrays set the peak
+    n = 4000
+    rng = np.random.default_rng(40)
+    lo, hi = np.sort(rng.integers(0, n, (60_000, 2)), axis=1).T
+    keys = rng.permutation(np.unique((lo * n + hi)[lo < hi]))[:40_000]
+    g = Graph(n, np.stack([keys // n, keys % n], axis=1))
+    tracemalloc.start()
+    try:
+        stats = neighborhood_stats(g, (1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges == 40_000 and stats.counts.shape == (2, n)
+    assert peak < 5_000_000
 
 
 def test_counts_monotone_in_depth_and_bounded():
@@ -228,15 +258,34 @@ def test_jaccard_matches_set_reference(num_nodes, edge_prob, keep_prob, seed):
     assert got.tolist() == want
 
 
-def test_jaccard_many_pairs_match_set_reference():
-    # more pairs than one chunk of the vectorised path
+@pytest.mark.parametrize("budget", [1, 1000, analysis._KHOP_BLOCK_BYTES])
+def test_jaccard_many_pairs_match_set_reference(budget):
+    # nodes 90 and 91 are hubs joined to every other node: a 1000-byte budget walks 62
+    # entries per chunk, so each hub pair is a chunk of its own, and the default one
+    # fits about 32,000, which the 400 copies of the hub-hub pair cross
     rng = np.random.default_rng(11)
     g = random_graph(rng, 90, 0.1)
-    g_pruned = Graph(90, g.edges[rng.random(g.num_edges) < 0.5])
-    pairs = [(u, v) for u in range(90) for v in range(u, 90)]
-    got = jaccard_locality(g, g_pruned, pairs)
-    want = [[set_jaccard(g, u, v), set_jaccard(g_pruned, u, v)] for u, v in pairs]
-    assert got.tolist() == want
+    hubs = [(h, u) for h in (90, 91) for u in range(h)]
+    g = Graph(92, np.concatenate([g.edges, hubs]))
+    g_pruned = Graph(92, g.edges[rng.random(g.num_edges) < 0.5])
+    pairs = [(u, v) for u in range(92) for v in range(u, 92)] + [(91, 90)] * 400
+    with mock.patch.object(analysis, "_KHOP_BLOCK_BYTES", budget):
+        got = jaccard_locality(g, g_pruned, pairs)
+    want = {(u, v): [set_jaccard(g, u, v), set_jaccard(g_pruned, u, v)] for u, v in set(pairs)}
+    assert got.tolist() == [want[p] for p in pairs]
+
+
+def test_jaccard_memory_is_bounded_by_walked_entries():
+    # 2,048 pairs of two degree-2000 hubs on a 4,000-edge graph walk 4M entries
+    g = Graph(2002, [(h, w) for h in (0, 1) for w in range(2, 2002)])
+    tracemalloc.start()
+    try:
+        values = jaccard_locality(g, g, [(0, 1)] * 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.tolist() == [[1.0, 1.0]] * 2048
+    assert peak < 8_000_000
 
 
 def test_jaccard_after_twin_consistent_pruning():
