@@ -14,8 +14,8 @@ attribute first, which makes each edge carry two vectors (one per endpoint);
 it exists for directed inputs and experimentation.
 
 The vectors are kept as their blocks (the node matrix gathered by endpoint,
-the edge matrix), not as an ``(|E|, d)`` row matrix: lsp-t hashes the blocks
-as they are, and only lsp-p assembles the rows.
+the edge matrix), not as an ``(|E|, d)`` row matrix: both hash variants hash
+the blocks as they are.
 
 Scalar (categorical) node or edge attributes are lifted to vectors through a
 seeded random embedding table whose column ``r`` embeds the value ``r``.
@@ -24,7 +24,6 @@ seeded random embedding table whose column ``r`` embeds the value ``r``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -47,9 +46,9 @@ class EdgeAttrTable:
     ``node_attrs`` (``None`` under ``raw_edge``) and ``edge_attrs`` (``None``
     under ``node_only``) are the graph's matrices after any z-scoring, and
     ``edges`` its endpoints, smaller first.  :meth:`blocks` lists the vector
-    of every edge as ``(matrix, index)`` pairs; :attr:`rows` assembles them.
-    ``swapped`` marks the view of each edge's larger endpoint, whose endpoint
-    blocks are exchanged (see :meth:`oriented`).
+    of every edge as ``(matrix, index)`` pairs.  ``swapped`` marks the view
+    of each edge's larger endpoint, whose endpoint blocks are exchanged (see
+    :meth:`oriented`).
     """
 
     mode: str
@@ -94,13 +93,6 @@ class EdgeAttrTable:
             return middle
         return [(self.node_attrs, first)] + middle + [(self.node_attrs, second)]
 
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """The ``(|E|, dim)`` matrix of the vectors, assembled on first read."""
-        return np.concatenate(
-            [mat if idx is None else mat[idx] for mat, idx in self.blocks()], axis=1
-        )
-
     def oriented(self) -> tuple["EdgeAttrTable", "EdgeAttrTable"]:
         """The table as seen from each endpoint of an edge.
 
@@ -111,11 +103,7 @@ class EdgeAttrTable:
         """
         if self.endpoint_order == CANONICAL or self.node_attrs is None:
             return self, self
-        return self, self._swapped_view
-
-    @cached_property
-    def _swapped_view(self) -> "EdgeAttrTable":  # kept, so its rows are built once too
-        return replace(self, swapped=not self.swapped)
+        return self, replace(self, swapped=not self.swapped)
 
 
 def _zscore_columns(mat: np.ndarray) -> np.ndarray:

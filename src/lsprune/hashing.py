@@ -10,18 +10,19 @@ Two variants map ``R^d`` to integer buckets:
 * ``lsp_p`` (random projections): ``floor((<x, w> + b) / l)`` with standard
   normal direction ``w`` and offset ``b ~ U[0, l]``, yielding a signed bucket.
 
-An lsp_t bit is an exact comparison, so the signature of an edge's vector
-``[x_u | e_uv | x_v]`` is the bit concatenation of its blocks' signatures.
-``lsp_t`` therefore codes each node's block once, as ``uint64`` words at the
-block's bit offset, gathers the codes by endpoint and ORs in the edge block's
-code: the ``(|E|, d)`` rows are never built.  ``lsp_p`` projects assembled
-rows, since splitting the dot product by block would change its summation
-order and so, at a bin edge, its bucket.
+Both hash an edge's vector ``[x_u | e_uv | x_v]`` from its blocks, each
+node's block once per node, gathered by endpoint; the ``(|E|, d)`` rows are
+never built.  An lsp_t bit is an exact comparison, so ``lsp_t`` ORs the
+blocks' signature codes, ``uint64`` words at each block's bit offset.
+``lsp_p`` fixes the summation order of ``<x, w>``: each block's dot product
+is summed column by column, left to right, then the block sums are added
+left to right (first endpoint, edge block, second endpoint).
 
 Function ``i`` of a family is derived from ``mix_seed(master_seed, i)``, so a
 family with more functions extends a smaller one sharing the same master
 seed.  Bucket values are deterministic for fixed (variant, master_seed, i, x)
-across processes and thread counts; bit-exact parameter reproduction across
+across processes, thread counts, BLAS builds, and a vector's position among
+the vectors hashed with it; bit-exact parameter reproduction across
 *different* numpy builds is not promised, which is why families can be
 serialized to a sidecar file (see :mod:`lsprune.container`).
 """
@@ -44,6 +45,8 @@ VARIANTS = (LSP_T, LSP_P)
 DEFAULT_K = 4
 DEFAULT_M = 65536
 DEFAULT_L = 1.0
+
+_PROJECTION_BYTES = 1 << 20  # a block's row chunk, kept in cache across its columns
 
 
 @dataclass(frozen=True)
@@ -119,9 +122,9 @@ class LshFamily:
         """``(k, n)`` bucket matrix of ``n`` vectors under all functions.
 
         ``rows`` is an ``(n, d)`` array or an :class:`~lsprune.attrs.EdgeAttrTable`
-        of ``n`` edges.  ``lsp_t`` hashes a table's blocks without assembling
-        its rows (an array is one block); ``lsp_p`` projects the rows.  Each
-        (vector, function) pair is hashed exactly once.
+        of ``n`` edges.  Both variants hash a table's blocks without assembling
+        its rows; an array is one block.  Each (vector, function) pair is
+        hashed exactly once.
         """
         cfg = self.config
         blocks = _checked_blocks(rows, cfg.d)
@@ -129,11 +132,10 @@ class LshFamily:
             return np.stack(
                 [_signature_buckets(_signature_keys(blocks, t), cfg.d, cfg.m) for t in self.vectors]
             )
-        rows = rows.rows if isinstance(rows, EdgeAttrTable) else blocks[0][0]
         out = np.empty((cfg.k, len(rows)), dtype=np.int64)
         for i in range(cfg.k):
-            with np.errstate(over="ignore"):  # an overflow to inf fails the range check
-                bins = np.floor((rows @ self.vectors[i] + self.offsets[i]) / cfg.l)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf or nan fails the range check
+                bins = np.floor((_projections(blocks, self.vectors[i]) + self.offsets[i]) / cfg.l)
             if not ((bins >= -(2.0**63)) & (bins < 2.0**63)).all():
                 raise ValueError(
                     f"lsp_p projection bucket outside int64 under function {i}; "
@@ -163,6 +165,26 @@ def _checked_blocks(rows, d: int) -> list[tuple[np.ndarray, np.ndarray | None]]:
             if not (finite if idx is None else finite[idx]).all():
                 raise ValueError("attribute vectors contain non-finite entries")
     return blocks
+
+
+def _projections(blocks, w: np.ndarray) -> np.ndarray:
+    """``<x, w>`` of the blocks' vectors, summed in the documented order.
+
+    Elementwise ops give a row the same bits wherever it sits, so the row
+    chunks a block's columns are summed over cannot change a sum.
+    """
+    total, lo = None, 0
+    for mat, idx in blocks:
+        part = np.zeros(len(mat))  # adding to 0.0 leaves the first column's product as it is
+        step = max(1, _PROJECTION_BYTES // (8 * max(1, mat.shape[1])))
+        for start in range(0, len(mat), step):
+            chunk, acc = mat[start : start + step], part[start : start + step]
+            for j in range(mat.shape[1]):
+                acc += chunk[:, j] * w[lo + j]
+        part = part if idx is None else np.take(part, idx)
+        total = part if total is None else np.add(total, part, out=total)
+        lo += mat.shape[1]
+    return total
 
 
 def _signature_keys(blocks, t: np.ndarray) -> np.ndarray:

@@ -364,7 +364,7 @@ def test_c10_minhash_oracle_equivalence():
                                 master_seed=checked)
             )
             res = lsp_prune(g, attrs, fam)
-            kept_oracle, sel_oracle = brute_force_minhash(g, attrs.rows, fam)
+            kept_oracle, sel_oracle = brute_force_minhash(g, attrs, fam)
             assert kept_edges(res) == kept_oracle
             assert selection_lists(res) == sel_oracle
             checked += 1

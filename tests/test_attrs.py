@@ -4,7 +4,7 @@ import pytest
 from lsprune import Graph, build_edge_attrs, embed_scalar_attrs
 from lsprune.attrs import CANONICAL, CENTER_FIRST, CONSTRUCTION_MODES, edge_attr_dim
 
-from util import embedding_table
+from util import assembled_rows, embedding_table
 
 
 def two_node_graph(edge_attr=None):
@@ -18,7 +18,7 @@ def two_node_graph(edge_attr=None):
 
 def test_node_only_row_is_concatenation():
     table = build_edge_attrs(two_node_graph(), "node_only")
-    assert table.rows.tolist() == [[1.0, 2.0, 3.0, 4.0]]
+    assert assembled_rows(table).tolist() == [[1.0, 2.0, 3.0, 4.0]]
     assert table.dim == 4
 
 
@@ -28,19 +28,19 @@ def test_row_identical_whichever_endpoint_listed_first():
     g_rev = Graph(2, [(1, 0)], node_attrs=[[1.0, 2.0], [3.0, 4.0]])
     t_fwd = build_edge_attrs(g_fwd, "node_only", CANONICAL)
     t_rev = build_edge_attrs(g_rev, "node_only", CANONICAL)
-    assert np.array_equal(t_fwd.rows, t_rev.rows)
+    assert np.array_equal(assembled_rows(t_fwd), assembled_rows(t_rev))
 
 
 def test_node_and_edge_row_layout():
     g = Graph(2, [(0, 1)], node_attrs=[[1.0], [2.0]], edge_attrs=[[9.0]])
     table = build_edge_attrs(g, "node_and_edge")
-    assert table.rows.tolist() == [[1.0, 9.0, 2.0]]
+    assert assembled_rows(table).tolist() == [[1.0, 9.0, 2.0]]
 
 
 def test_raw_edge_rows_pass_through():
     g = Graph(2, [(0, 1)], edge_attrs=[[7.0, 8.0]])
     table = build_edge_attrs(g, "raw_edge")
-    assert table.rows.tolist() == [[7.0, 8.0]]
+    assert assembled_rows(table).tolist() == [[7.0, 8.0]]
 
 
 def test_missing_attributes_rejected():
@@ -56,21 +56,21 @@ def test_center_first_swaps_endpoint_blocks():
     g = Graph(2, [(0, 1)], node_attrs=[[1.0], [2.0]], edge_attrs=[[9.0]])
     table = build_edge_attrs(g, "node_and_edge", CENTER_FIRST)
     from_smaller, from_larger = table.oriented()
-    assert from_smaller.rows.tolist() == [[1.0, 9.0, 2.0]]
-    assert from_larger.rows.tolist() == [[2.0, 9.0, 1.0]]
+    assert assembled_rows(from_smaller).tolist() == [[1.0, 9.0, 2.0]]
+    assert assembled_rows(from_larger).tolist() == [[2.0, 9.0, 1.0]]
 
 
-def test_canonical_oriented_rows_share_storage():
+def test_canonical_oriented_views_are_the_table():
     table = build_edge_attrs(two_node_graph(), "node_only", CANONICAL)
     a, b = table.oriented()
-    assert a is b and a.rows is b.rows
+    assert a is table and b is table
 
 
 def test_center_first_raw_edge_is_orientation_free():
     g = Graph(2, [(0, 1)], edge_attrs=[[7.0, 8.0]])
     table = build_edge_attrs(g, "raw_edge", CENTER_FIRST)
     a, b = table.oriented()
-    assert np.array_equal(a.rows, b.rows)
+    assert np.array_equal(assembled_rows(a), assembled_rows(b))
 
 
 def test_determinism_given_same_inputs():
@@ -78,7 +78,7 @@ def test_determinism_given_same_inputs():
     g = Graph(6, [(0, 1), (2, 3), (1, 4)], node_attrs=rng.standard_normal((6, 3)))
     t1 = build_edge_attrs(g, "node_only")
     t2 = build_edge_attrs(g, "node_only")
-    assert np.array_equal(t1.rows, t2.rows)
+    assert np.array_equal(assembled_rows(t1), assembled_rows(t2))
 
 
 def test_permutation_consistency():
@@ -94,8 +94,8 @@ def test_permutation_consistency():
         [(perm[u], perm[v]) for u, v in edges],
         node_attrs=attrs[np.argsort(perm)],
     )
-    rows = build_edge_attrs(g, "node_only").rows
-    rows_perm = build_edge_attrs(g_perm, "node_only").rows
+    rows = assembled_rows(build_edge_attrs(g, "node_only"))
+    rows_perm = assembled_rows(build_edge_attrs(g_perm, "node_only"))
     for i in range(len(edges)):
         # endpoint multiset unchanged, so sorted blocks must agree
         blocks = sorted([rows[i, :2].tolist(), rows[i, 2:].tolist()])
@@ -112,7 +112,7 @@ def test_zscore_standardizes_input_columns():
     table = build_edge_attrs(g, "node_only", zscore=True)
     std = np.std([0.0, 1.0, 2.0])
     # constant column 1 is centered to zero, not divided by zero
-    assert table.rows[0].tolist() == pytest.approx([-1 / std, 0.0, 0.0, 0.0])
+    assert assembled_rows(table)[0].tolist() == pytest.approx([-1 / std, 0.0, 0.0, 0.0])
 
 
 def test_embedding_table_column_major_layout():
@@ -154,13 +154,13 @@ def test_molecule_style_combined_attribute():
     nv = embedding_table(m_nodes, seed=7)
     ev = embedding_table(m_edges, seed=8)
     expected = np.concatenate([nv[:, 2], ev[:, 1], nv[:, 0]])
-    assert np.array_equal(table.rows[0], expected)
+    assert np.array_equal(assembled_rows(table)[0], expected)
 
 
 def test_edgeless_graph_keeps_row_width():
     g = Graph(3, [], node_attrs=np.zeros((3, 2)))
     table = build_edge_attrs(g, "node_only")
-    assert table.rows.shape == (0, 4)
+    assert assembled_rows(table).shape == (0, 4)
 
 
 @pytest.mark.parametrize("mode", CONSTRUCTION_MODES)
@@ -169,4 +169,4 @@ def test_edge_attr_dim_matches_built_rows(mode, num_edges):
     edges = [(0, 1), (1, 2), (0, 2)][:num_edges]
     g = Graph(3, edges, node_attrs=np.ones((3, 2)), edge_attrs=np.ones((num_edges, 5)))
     table = build_edge_attrs(g, mode)
-    assert table.rows.shape == (num_edges, edge_attr_dim(g, mode))
+    assert assembled_rows(table).shape == (num_edges, edge_attr_dim(g, mode))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,16 @@ from hypothesis import strategies as st
 
 from lsprune import Graph, LshFamily, LshFamilyConfig, build_edge_attrs
 
-from util import bucket_rows, collision_rate, md5_bucket, row_signature_buckets
+from util import (
+    assembled_rows,
+    bucket_rows,
+    collision_rate,
+    edge_vector_blocks,
+    md5_bucket,
+    projection,
+    projection_bucket,
+    row_signature_buckets,
+)
 
 # first 8 bytes, big-endian, of MD5 over a single byte; frozen from an
 # independent digest computation
@@ -119,7 +129,8 @@ def test_function_parameters_depend_only_on_master_seed_and_index():
 
 def test_bucket_matrix_matches_spec():
     # lsp_t: MD5 of the packed signature, first 8 bytes big-endian, mod m;
-    # lsp_p: floor((<x, w> + b) / l), computed here one element at a time
+    # lsp_p: floor((<x, w> + b) / l), <x, w> summed here one float at a time in the
+    # documented order: column by column within a block, then block by block
     rows = np.random.default_rng(21).standard_normal((10, 6))
     tfam = LshFamily.from_config(LshFamilyConfig("lsp_t", d=6, k=3, m=1024, master_seed=5))
     pfam = LshFamily.from_config(LshFamilyConfig("lsp_p", d=6, k=3, l=0.5, master_seed=5))
@@ -129,8 +140,46 @@ def test_bucket_matrix_matches_spec():
         for j, x in enumerate(rows):
             digest = hashlib.md5(np.packbits(x > tfam.vectors[i]).tobytes()).digest()
             assert tmat[i, j] == int.from_bytes(digest[:8], "big") % 1024
-            proj = float(x @ pfam.vectors[i]) + float(pfam.offsets[i])
-            assert pmat[i, j] == math.floor(proj / 0.5)
+            assert pmat[i, j] == projection_bucket([x.tolist()], pfam.vectors[i], pfam.offsets[i], 0.5)
+    # a center_first node_and_edge table: [x_u | e_uv | x_v] from each endpoint
+    rng = np.random.default_rng(22)
+    g = Graph(5, [(0, 1), (1, 2), (0, 3), (2, 4), (3, 4)], node_attrs=rng.standard_normal((5, 2)),
+              edge_attrs=rng.standard_normal((5, 3)))
+    table = build_edge_attrs(g, "node_and_edge", "center_first")
+    pfam = LshFamily.from_config(LshFamilyConfig("lsp_p", d=7, k=3, l=0.25, master_seed=6))
+    for view in table.oriented():
+        pmat = pfam.bucket_matrix(view)
+        for e in range(g.num_edges):
+            blocks = edge_vector_blocks(view, e)
+            for i in range(3):
+                assert pmat[i, e] == projection_bucket(blocks, pfam.vectors[i], pfam.offsets[i], 0.25)
+
+
+def on_bin_edge(p: float, l: float = 1.0) -> float:
+    """An offset ``b`` under which ``(p + b) / l`` is exactly an integer: ``p`` on a bin edge."""
+    b = math.ceil(p / l) * l - p
+    while p + b < math.ceil(p / l) * l:
+        b = math.nextafter(b, math.inf)
+    while p + b > math.ceil(p / l) * l:
+        b = math.nextafter(b, -math.inf)
+    assert ((p + b) / l).is_integer()
+    return b
+
+
+def test_bucket_does_not_depend_on_row_position():
+    # function i puts row i's documented-order projection exactly on a bin edge; BLAS
+    # sums a row of this matrix differently in place and alone, so one ulp either way
+    # would move the row between two buckets
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((20_011, 64))
+    w = rng.standard_normal(64)
+    k = 8
+    edges = [projection([X[i].tolist()], w) for i in range(k)]
+    fam = p_family(np.tile(w, (k, 1)), [on_bin_edge(p) for p in edges])
+    in_place = fam.bucket_matrix(X)
+    for i in range(k):
+        assert np.array_equal(in_place[:, i], fam.bucket_matrix(X[i : i + 1])[:, 0]), i
+    assert [in_place[i, i] for i in range(k)] == [p + b for p, b in zip(edges, fam.offsets)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -193,15 +242,55 @@ def test_block_codes_match_buckets_of_assembled_rows(mode, q, d_e, order, zscore
     views = table.oriented()
     assert (views[1] is views[0]) == (order == "canonical" or mode == "raw_edge")
     if views[1] is not views[0]:  # the larger endpoint's view exchanges the node blocks
-        rows = views[0].rows
-        assert np.array_equal(views[1].rows, np.concatenate(
+        rows = assembled_rows(views[0])
+        assert np.array_equal(assembled_rows(views[1]), np.concatenate(
             [rows[:, d - q:], rows[:, q:d - q], rows[:, :q]], axis=1))
     for view in views:
         got = fam.bucket_matrix(view)
-        want = np.stack([row_signature_buckets(view.rows > t, 2**63) for t in fam.vectors])
+        want = np.stack([row_signature_buckets(assembled_rows(view) > t, 2**63) for t in fam.vectors])
         assert got.shape == (3, num_edges) and got.dtype == np.int64
         assert np.array_equal(got, want)
-        assert np.array_equal(fam.bucket_matrix(view.rows), want)
+        assert np.array_equal(fam.bucket_matrix(assembled_rows(view)), want)
+
+
+@pytest.mark.parametrize("order", ["canonical", "center_first"])
+@pytest.mark.parametrize("mode, q, d_e", [("raw_edge", 0, 60), ("node_only", 8, 0), ("node_and_edge", 5, 7)])
+def test_block_projections_match_blas_rows_off_bin_edges(mode, q, d_e, order):
+    # buckets of the documented summation order against floor((rows @ w + b) / l) of the
+    # assembled rows: BLAS sums in another order, so the two may differ only where the
+    # BLAS value lies within a few rounding errors of its dot product of a bin edge
+    rng = np.random.default_rng(q * 100 + d_e)
+    n, num_edges, l = 300, 3000, 0.125
+    iu, iv = np.triu_indices(n, 1)
+    edges = np.stack([iu, iv], axis=1)[rng.choice(len(iu), num_edges, replace=False)]
+    g = Graph(n, edges, node_attrs=rng.standard_normal((n, q)) if q else None,
+              edge_attrs=rng.standard_normal((num_edges, d_e)) if d_e else None)
+    table = build_edge_attrs(g, mode, order)
+    fam = LshFamily.from_config(LshFamilyConfig("lsp_p", d=table.dim, k=6, l=l, master_seed=q))
+    near_edges = 0
+    for view in table.oriented():
+        rows = assembled_rows(view)
+        got = fam.bucket_matrix(view)
+        for i, (w, b) in enumerate(zip(fam.vectors, fam.offsets)):
+            blas = (rows @ w + b) / l
+            differ = got[i] != np.floor(blas)
+            slack = 4 * table.dim * np.finfo(float).eps * (np.abs(rows) @ np.abs(w) + b) / l
+            assert (np.abs(blas - np.round(blas)) <= slack)[differ].all()
+            near_edges += int(differ.sum())
+    assert near_edges <= 2  # of 2 * 6 * 3000 buckets; each is one ulp-scale coincidence
+    print(f"  {mode} {order}: {near_edges} buckets differ from BLAS rows, all at bin edges")
+
+
+def test_opposite_overflows_in_two_blocks_end_in_range_error():
+    # finite attributes whose node block projects to +inf and edge block to -inf: the
+    # sum is nan, which must end in the range error, not a RuntimeWarning
+    g = Graph(2, [(0, 1)], node_attrs=[[1e308], [1.0]], edge_attrs=[[-1e308]])
+    table = build_edge_attrs(g, "node_and_edge")
+    fam = p_family([[2.0, 2.0, 2.0]], [0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="outside int64"):
+            fam.bucket_matrix(table)
 
 
 def test_config_validation():

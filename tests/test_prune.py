@@ -266,7 +266,7 @@ def test_brute_force_oracle_agreement():
         variant = "lsp_t" if trial % 2 else "lsp_p"
         fam = family(variant, k=int(rng.integers(1, 4)), seed=trial)
         res = lsp_prune(g, attrs, fam)
-        kept_oracle, sel_oracle = brute_force_minhash(g, attrs.rows, fam)
+        kept_oracle, sel_oracle = brute_force_minhash(g, attrs, fam)
         assert kept_edges(res) == kept_oracle
         assert selection_lists(res) == sel_oracle
 

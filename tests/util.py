@@ -8,6 +8,7 @@ vectorized paths; tests compare the two.
 from __future__ import annotations
 
 import hashlib
+import math
 import sys
 import warnings
 from dataclasses import replace
@@ -115,14 +116,67 @@ def random_graph(
     )
 
 
-def brute_force_minhash(g: Graph, attr_rows: np.ndarray, family) -> tuple[set, dict]:
+def assembled_rows(table) -> np.ndarray:
+    """The ``(|E|, dim)`` row matrix of an ``EdgeAttrTable``: its blocks side by side."""
+    return np.concatenate([mat if idx is None else mat[idx] for mat, idx in table.blocks()], axis=1)
+
+
+def edge_vector_blocks(table, e: int) -> list[list[float]]:
+    """The blocks of edge ``e``'s vector, built from the table's fields, not its ``blocks()``.
+
+    Edge ``(a, b)`` gives ``[x_a], [e_ab], [x_b]`` (the blocks a mode lacks left
+    out), with ``a`` and ``b`` exchanged in a swapped view.
+    """
+    a, b = table.edges[e].tolist()
+    if table.swapped:
+        a, b = b, a
+    middle = [] if table.edge_attrs is None else [table.edge_attrs[e].tolist()]
+    if table.node_attrs is None:
+        return middle
+    return [table.node_attrs[a].tolist()] + middle + [table.node_attrs[b].tolist()]
+
+
+def projection(blocks, w) -> float:
+    """``<x, w>`` of one vector given as blocks, summed one float at a time in the documented order.
+
+    Each block's products are added column by column, then the block sums
+    left to right.
+    """
+    w = list(map(float, w))
+    total, lo = 0.0, 0
+    for block in blocks:
+        part = 0.0
+        for x in block:
+            part += x * w[lo]
+            lo += 1
+        total += part
+    return total
+
+
+def projection_bucket(blocks, w, b: float, l: float) -> int:
+    """lsp-p bucket of one vector given as blocks: ``floor((projection + b) / l)``."""
+    return math.floor((projection(blocks, w) + float(b)) / l)
+
+
+def projection_buckets(table, family) -> np.ndarray:
+    """``(k, |E|)`` lsp-p buckets of a table's vectors by :func:`projection_bucket`."""
+    vectors = [edge_vector_blocks(table, e) for e in range(len(table))]
+    return np.array(
+        [[projection_bucket(v, w, b, family.config.l) for v in vectors]
+         for w, b in zip(family.vectors, family.offsets)],
+        dtype=np.int64,
+    ).reshape(family.config.k, len(table))
+
+
+def brute_force_minhash(g: Graph, table, family) -> tuple[set, dict]:
     """Enumerate every (node, function, neighbor) triple naively.
 
     Returns the kept edge set (canonical pairs) and the per-node selection
-    lists.  Buckets come from one ``bucket_matrix`` call; the argmin is a
-    plain loop.  Assumes endpoint-symmetric rows.
+    lists.  Buckets come from one ``bucket_matrix`` call per view of the
+    ``EdgeAttrTable`` (see ``oriented()``): a node hashes its edge to a smaller
+    neighbor under the larger endpoint's view.  The argmin is a plain loop.
     """
-    buckets = family.bucket_matrix(attr_rows)
+    buckets = [family.bucket_matrix(view) for view in table.oriented()]
     adjacency: dict[int, list[tuple[int, int]]] = {u: [] for u in range(g.num_nodes)}
     for e, (u, v) in enumerate(g.edges.tolist()):
         adjacency[u].append((v, e))
@@ -139,7 +193,7 @@ def brute_force_minhash(g: Graph, attr_rows: np.ndarray, family) -> tuple[set, d
             best_nbr = None
             best_edge = None
             for v, e in sorted(adjacency[u]):
-                bucket = buckets[i, e]
+                bucket = buckets[u > v][i, e]
                 if best_bucket is None or bucket < best_bucket:
                     best_bucket, best_nbr, best_edge = bucket, v, e
             picks.append((i, best_nbr))
