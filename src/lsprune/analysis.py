@@ -20,13 +20,15 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import Graph, build_adjacency
+from .graph import AdjacencyView, Graph, build_adjacency
 from .prune import RandomPruneConfig, random_prune
 from .seeding import mix_seed
 
 # byte bound of any one working array of the k-hop kernel and of a Jaccard chunk:
 # a k-hop level's reach, gathered row chunk and grown block then fit a 2 MiB L2 cache
 _KHOP_BLOCK_BYTES = 512_000
+# pairs per block of all_pair_blocks: a block's (P, 2) int64 array keeps within that bound
+_PAIR_BLOCK = _KHOP_BLOCK_BYTES // 16
 
 
 def _row_popcount(words: np.ndarray) -> np.ndarray:
@@ -247,7 +249,28 @@ def bernoulli_thinning_variance(degrees, p: float) -> float:
     return float(p * p * np.var(d) + p * (1.0 - p) * d.mean())
 
 
-def jaccard_locality(g: Graph, g_pruned: Graph, pairs) -> np.ndarray:
+def all_pair_blocks(n: int):
+    """Every pair ``u < v`` of ``n`` nodes, as ``(P, 2)`` int64 blocks of ``_PAIR_BLOCK`` pairs.
+
+    The pairs come row-major, in the order of ``np.triu_indices(n, 1)``, but
+    only one block's index arrays are ever built.  There is always at least
+    one block: an empty one when ``n < 2``.
+    """
+    # starts[u]: the pairs before row u, which holds the n - 1 - u pairs (u, u + 1 ..)
+    starts = np.append(0, np.cumsum(np.arange(n - 1, -1, -1, dtype=np.int64)))
+    total = int(starts[-1])
+    for a in range(0, max(total, 1), _PAIR_BLOCK):
+        t = np.arange(a, min(a + _PAIR_BLOCK, total))
+        u = np.searchsorted(starts, t, side="right") - 1
+        yield np.column_stack([u, t - starts[u] + u + 1])
+
+
+def jaccard_locality(
+    g: Graph,
+    g_pruned: Graph,
+    pairs,
+    adjacency: tuple[AdjacencyView, AdjacencyView] | None = None,
+) -> np.ndarray:
     """Neighborhood Jaccard similarity of node pairs before and after pruning.
 
     Returns an array of ``(J_before, J_after)`` rows, where
@@ -260,6 +283,10 @@ def jaccard_locality(g: Graph, g_pruned: Graph, pairs) -> np.ndarray:
     go in chunks of walked entries whose int64 arrays keep within
     ``_KHOP_BLOCK_BYTES``, so hub pairs do not raise the peak; a pair that
     walks more than that is a chunk of its own.
+
+    ``adjacency`` holds the prebuilt adjacency views of ``g`` and
+    ``g_pruned``, for a caller that takes its pairs in blocks (see
+    :func:`all_pair_blocks`); without it each graph's view is built in turn.
     """
     if g_pruned.num_nodes != g.num_nodes:
         raise ValueError("pruned graph must keep the original node set")
@@ -268,12 +295,12 @@ def jaccard_locality(g: Graph, g_pruned: Graph, pairs) -> np.ndarray:
     if bad.any():
         u, v = pairs[bad][0]
         raise ValueError(f"pair ({u}, {v}) out of range")
-    pairs = pairs.astype(np.int64)
+    pairs = pairs.astype(np.int64, copy=False)
 
     n = g.num_nodes
     out = np.empty((len(pairs), 2))
     for col, graph in enumerate((g, g_pruned)):
-        adj = build_adjacency(graph)
+        adj = build_adjacency(graph) if adjacency is None else adjacency[col]
         deg = adj.degrees
         # row * n + neighbor is ascending along the CSR, so lookups can bisect it
         keys = np.repeat(np.arange(n, dtype=np.int64), deg) * n + adj.neighbors

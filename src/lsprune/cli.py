@@ -20,9 +20,8 @@ import sys
 from contextlib import closing
 from dataclasses import fields
 
-import numpy as np
-
 from .analysis import (
+    all_pair_blocks,
     bernoulli_edge_pruner,
     check_curve_args,
     jaccard_locality,
@@ -31,6 +30,7 @@ from .analysis import (
 from .attrs import CANONICAL, CONSTRUCTION_MODES, ENDPOINT_ORDERS, edge_attr_dim
 from .container import (
     ContainerFormatError,
+    array_rows,
     format_config,
     format_tsv,
     iter_container,
@@ -44,7 +44,7 @@ from .container import (
     write_family,
 )
 from .generator import GeneratorConfig, generate_dataset
-from .graph import GraphStructureError
+from .graph import GraphStructureError, build_adjacency
 from .hashing import DEFAULT_K, DEFAULT_L, DEFAULT_M, LshFamily, LshFamilyConfig
 from .prune import GraphError, RandomPruneConfig, prune_dataset, resolve_attr_mode
 
@@ -272,19 +272,19 @@ def _cmd_prune(cfg) -> int:
     report = format_tsv(
         ["graph", "edges_in", "edges_out", "kept_fraction", "wall_time_s"], report_rows
     )
-    write_atomically(out + ".report.tsv", [report])
+    write_atomically(out + ".report.tsv", report)
 
     if family is not None:
         write_family(family, out + ".family")
 
     if any(m is not None for m in parsed.id_maps):
-        lines = []
-        for gid, id_map in zip(parsed.graph_ids, parsed.id_maps):
-            if id_map is None:
-                continue
-            for orig in sorted(id_map):
-                lines.append([gid, orig, id_map[orig]])
-        write_atomically(out + ".idmap", [format_tsv(["graph", "original_id", "dense_id"], lines)])
+        rows = (
+            (gid, orig, id_map[orig])
+            for gid, id_map in zip(parsed.graph_ids, parsed.id_maps)
+            if id_map is not None
+            for orig in sorted(id_map)
+        )
+        write_atomically(out + ".idmap", format_tsv(["graph", "original_id", "dense_id"], rows))
     return 0
 
 
@@ -349,7 +349,7 @@ def _cmd_stats(cfg) -> int:
         raise UsageError(f"graph_index {cfg['graph_index']} outside container of {read}")
     curve = neighborhood_variance_curve(graph, depths, fractions, pruner, trials=cfg["trials"])
     table = format_tsv(["kept_fraction", "depth", "variance"], variance_curve_rows(curve))
-    write_atomically(cfg["output"], [table])
+    write_atomically(cfg["output"], table)
     return 0
 
 
@@ -378,17 +378,20 @@ def _cmd_compare(cfg) -> int:
     if g is None or gp is None:
         raise UsageError(f"graph_index {idx} outside the containers")
 
-    if cfg["pairs_file"]:
+    if cfg["pairs_file"]:  # one block, whose errors all come before the output is opened
         pairs = parse_pairs(cfg["pairs_file"])
+        rows = array_rows(pairs, jaccard_locality(g, gp, pairs))
     else:
-        pairs = np.column_stack(np.triu_indices(g.num_nodes, 1))
-
-    values = jaccard_locality(g, gp, pairs)
-    # Python ints and floats: str of a float is its repr
-    rows = [uv + jj for uv, jj in zip(pairs.tolist(), values.tolist())]
-    table = format_tsv(["u", "v", "jaccard_before", "jaccard_after"], rows)
-    write_atomically(cfg["output"], [table])
+        rows = _all_pair_rows(g, gp)
+    write_atomically(cfg["output"], format_tsv(["u", "v", "jaccard_before", "jaccard_after"], rows))
     return 0
+
+
+def _all_pair_rows(g, gp):
+    """Compare rows of every pair, a block of pairs at a time over adjacencies built once."""
+    adjacency = (build_adjacency(g), build_adjacency(gp))
+    for pairs in all_pair_blocks(g.num_nodes):
+        yield from array_rows(pairs, jaccard_locality(g, gp, pairs, adjacency))
 
 
 # ---------------------------------------------------------------- wiring

@@ -27,7 +27,8 @@ tokens take the syntax of Python's ``int()`` and ``float()``.
 iterable of graphs, so a pipeline need hold only the graph at hand.  A
 sequence of graphs is formatted by forked workers, one per usable CPU and a
 batch of graphs at a time, into the bytes one process writes; each worker
-sends its text as pieces over a ``multiprocessing`` pipe connection.  Every
+sends its text as pieces over a ``multiprocessing`` pipe connection.  TSV
+tables are formatted a piece of rows at a time as they are written.  Every
 output is written atomically.
 
 Hash-family parameters use the same line-oriented style under an ``lsph 1``
@@ -796,11 +797,29 @@ def format_config(pairs) -> str:
     return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
 
 
-def format_tsv(header, rows) -> str:
-    """Tab-separated table with a header row."""
-    lines = ["\t".join(map(str, header))]
-    lines.extend("\t".join(map(str, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+def format_tsv(header, rows):
+    """A tab-separated table with a header row, as text pieces of at most ``_ROW_CHUNK`` rows.
+
+    ``rows`` is any iterable of rows and is read a piece at a time, as the
+    pieces are taken (by :func:`write_atomically`, say), so a caller can
+    generate rows as they are written.  A row holds one value per column,
+    written as its ``str``; that of a Python float is its repr.
+    """
+    yield "\t".join(map(str, header)) + "\n"
+    line = "\t".join(["%s"] * len(header)) + "\n"  # str() of each value, faster than a join
+    rows = iter(rows)
+    while piece := list(itertools.islice(rows, _ROW_CHUNK)):
+        yield "".join([line % tuple(row) for row in piece])
+
+
+def array_rows(*arrays):
+    """The rows of 2-D arrays side by side, as tuples of Python ints and floats.
+
+    The arrays are converted by ``tolist`` a slice of ``_ROW_CHUNK`` rows at a
+    time, so no more rows than that are held as Python objects.
+    """
+    for start in range(0, len(arrays[0]), _ROW_CHUNK):
+        yield from zip(*(col for a in arrays for col in a[start : start + _ROW_CHUNK].T.tolist()))
 
 
 def variance_curve_rows(curve) -> list[list]:

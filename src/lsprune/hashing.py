@@ -29,7 +29,6 @@ serialized to a sidecar file (see :mod:`lsprune.container`).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -228,6 +227,8 @@ def _signature_buckets(keys: np.ndarray, d: int, m: int) -> np.ndarray:
     signatures (``d <= 64``) are deduplicated as ``uint64`` keys, which sort
     several times faster than the ``void`` keys of longer ones.
     """
+    import hashlib  # here only: it loads OpenSSL's libcrypto, which only lsp-t hashing needs
+
     width = -(-d // 8)  # bytes of a packed signature
     words = keys.shape[1]
     if words == 1:

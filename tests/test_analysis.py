@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import lsprune.analysis as analysis
 from lsprune import Graph, build_adjacency
 from lsprune.analysis import (
+    all_pair_blocks,
     bernoulli_edge_pruner,
     bernoulli_thinning_variance,
     jaccard_locality,
@@ -273,6 +274,28 @@ def test_jaccard_many_pairs_match_set_reference(budget):
         got = jaccard_locality(g, g_pruned, pairs)
     want = {(u, v): [set_jaccard(g, u, v), set_jaccard(g_pruned, u, v)] for u, v in set(pairs)}
     assert got.tolist() == [want[p] for p in pairs]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10])
+@pytest.mark.parametrize("budget", [1, 2, 9, 45, 64])
+def test_all_pair_blocks_follow_triu_indices(n, budget):
+    with mock.patch.object(analysis, "_PAIR_BLOCK", budget):
+        blocks = list(all_pair_blocks(n))
+    assert [len(b) for b in blocks[:-1]] == [budget] * (len(blocks) - 1)
+    assert 0 < len(blocks[-1]) <= budget or (n < 2 and len(blocks) == 1)
+    got = np.concatenate(blocks)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, np.column_stack(np.triu_indices(n, 1)))
+
+
+def test_jaccard_over_prebuilt_adjacency_matches_its_own_build():
+    rng = np.random.default_rng(5)
+    g = random_graph(rng, 40, 0.2)
+    g_pruned = Graph(40, g.edges[rng.random(g.num_edges) < 0.5])
+    pairs = np.column_stack(np.triu_indices(40, 1))
+    adjacency = (build_adjacency(g), build_adjacency(g_pruned))
+    got = jaccard_locality(g, g_pruned, pairs, adjacency)
+    assert got.tolist() == jaccard_locality(g, g_pruned, pairs).tolist()
 
 
 def test_jaccard_memory_is_bounded_by_walked_entries():

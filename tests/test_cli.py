@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import lsprune
+import lsprune.analysis as analysis
 import lsprune.cli as cli
 from lsprune import Graph, write_container
+from lsprune.analysis import jaccard_locality
 from lsprune.cli import main
 
 from util import forked_workers, random_graph, read_graphs
@@ -313,6 +315,99 @@ def test_compare_pairs_file(tmp_path, capsys):
     )
     assert code == 0
     assert len(out.read_text().splitlines()) == 3
+
+
+def _jaccard_table(g, gp, pairs) -> str:
+    """The compare table of ``pairs`` from one Jaccard call, formatted row by row."""
+    values = jaccard_locality(g, gp, pairs).tolist()
+    rows = "".join(f"{u}\t{v}\t{b!r}\t{a!r}\n" for (u, v), (b, a) in zip(pairs.tolist(), values))
+    return "u\tv\tjaccard_before\tjaccard_after\n" + rows
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 300])
+def test_compare_all_pairs_blocks_keep_triu_order(tmp_path, capsys, monkeypatch, n):
+    # 300 nodes hold 44,850 pairs: the default budget splits them inside a row
+    rng = np.random.default_rng(n)
+    g = random_graph(rng, n, min(1.0, 4 / max(n, 1)))
+    gp = Graph(n, g.edges[rng.random(g.num_edges) < 0.5])
+    a, b = tmp_path / "a.lspg", tmp_path / "b.lspg"
+    write_container([g], a)
+    write_container([gp], b)
+    want = _jaccard_table(g, gp, np.column_stack(np.triu_indices(n, 1)))
+    budgets = [analysis._PAIR_BLOCK] if n > 100 else sorted({1, 2, max(1, n - 1)})
+    for budget in budgets:
+        monkeypatch.setattr(analysis, "_PAIR_BLOCK", budget)
+        out = tmp_path / f"{budget}.tsv"
+        code, _, _ = run(["compare", "--input", str(a), "--pruned", str(b), "--output", str(out),
+                          "--all-pairs"], capsys)
+        assert code == 0
+        assert out.read_text() == want, budget
+
+
+def test_compare_all_pairs_memory_is_bounded_by_one_block(tmp_path, capsys):
+    # peak minus what is retained, at the same edge count: 16x the pairs, the same budget
+    def transient(n):
+        iu, iv = np.triu_indices(n, 1)
+        pick = np.random.default_rng(n).choice(len(iu), size=600, replace=False)
+        path = tmp_path / f"{n}.lspg"
+        write_container([Graph(n, np.column_stack([iu[pick], iv[pick]]))], path)
+        tracemalloc.start()
+        try:
+            code = main(["compare", "--input", str(path), "--pruned", str(path), "--output",
+                         str(tmp_path / f"{n}.tsv"), "--all-pairs"])
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        return peak - retained
+
+    transient(50)  # first-call allocations that stay
+    small, large = transient(300), transient(1200)
+    assert len((tmp_path / "1200.tsv").read_text().splitlines()) == 1 + 1200 * 1199 // 2
+    assert abs(large - small) < analysis._PAIR_BLOCK * 16  # one block's (P, 2) int64 pairs
+
+
+def test_compare_pair_out_of_range_on_the_last_line_writes_nothing(tmp_path, capsys):
+    g = random_graph(np.random.default_rng(2), 6, 0.5)
+    a = tmp_path / "a.lspg"
+    write_container([g], a)
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("".join(f"{u} {v}\n" for u, v in zip(*np.triu_indices(6, 1))) + "5 6\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, _, err = run(["compare", "--input", str(a), "--pruned", str(a), "--output",
+                        str(out_dir / "out.tsv"), "--pairs-file", str(pairs)], capsys)
+    assert code == 2
+    assert err == "data-error: pair (5, 6) out of range\n"
+    assert list(out_dir.iterdir()) == []  # no table and no temporary file
+
+
+@pytest.mark.parametrize("source", ["all", "file"])
+def test_compare_of_other_node_sets_writes_nothing(tmp_path, capsys, source):
+    a, b = tmp_path / "a.lspg", tmp_path / "b.lspg"
+    write_container([Graph(5, [(0, 1)])], a)
+    write_container([Graph(6, [(0, 1)])], b)
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("0 1\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    flags = ["--all-pairs"] if source == "all" else ["--pairs-file", str(pairs)]
+    code, _, err = run(["compare", "--input", str(a), "--pruned", str(b), "--output",
+                        str(out_dir / "out.tsv")] + flags, capsys)
+    assert code == 2
+    assert err == "data-error: pruned graph must keep the original node set\n"
+    assert list(out_dir.iterdir()) == []
+
+
+def test_import_loads_no_hashlib():
+    # hashlib loads OpenSSL's libcrypto; only lsp-t hashing needs it
+    src = str(Path(lsprune.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, lsprune.cli; print(sorted(m for m in sys.modules if 'hashlib' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_compare_requires_pair_source(tmp_path, capsys):

@@ -320,7 +320,7 @@ def test_config_file_bad_line(tmp_path):
 
 
 def test_tsv_has_header_and_tabs():
-    text = format_tsv(["a", "b"], [[1, 2], [3, 4]])
+    text = "".join(format_tsv(["a", "b"], [[1, 2], [3, 4]]))
     lines = text.splitlines()
     assert lines[0] == "a\tb"
     assert lines[1] == "1\t2"

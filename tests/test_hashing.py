@@ -281,6 +281,19 @@ def test_block_projections_match_blas_rows_off_bin_edges(mode, q, d_e, order):
     print(f"  {mode} {order}: {near_edges} buckets differ from BLAS rows, all at bin edges")
 
 
+def test_projection_block_sums_are_added_in_the_documented_order():
+    # an edge's vector is [1e16 | 1.0 | -1e16] from its smaller endpoint and [-1e16 | 1.0 |
+    # 1e16] from its larger one: the documented (first + edge) + second rounds the 1.0 into
+    # the spacing of 2.0 at 1e16, while (first + second) + edge keeps it, a bucket apart
+    g = Graph(2, [(0, 1)], node_attrs=[[1e16], [-1e16]], edge_attrs=[[1.0]])
+    fam = p_family([[1.0, 1.0, 1.0]], [0.5])
+    views = build_edge_attrs(g, "node_and_edge", "center_first").oriented()
+    for view, (first, second) in zip(views, [(1e16, -1e16), (-1e16, 1e16)]):
+        want = math.floor(((first + 1.0) + second) + 0.5)
+        assert want != math.floor(((first + second) + 1.0) + 0.5)
+        assert fam.bucket_matrix(view).tolist() == [[want]]
+
+
 def test_opposite_overflows_in_two_blocks_end_in_range_error():
     # finite attributes whose node block projects to +inf and edge block to -inf: the
     # sum is nan, which must end in the range error, not a RuntimeWarning

@@ -11,6 +11,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from collections import namedtuple
 from pathlib import Path
 
@@ -355,9 +356,22 @@ def _running(pid: int) -> bool:
         return False
 
 
+def _ended(pid: int, deadline: float) -> bool:
+    """Whether ``pid`` is a zombie or gone by ``deadline``, a ``time.monotonic`` time.
+
+    An exiting process closes its files before it becomes a zombie, so it may
+    still run for a moment after its stderr has closed.
+    """
+    while _running(pid):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
 def test_workers_end_when_the_writer_is_killed(tmp_path):
-    # the workers hold the child's stderr, so the run returns only once they have ended
+    # the workers hold the child's stderr, so the run returns only once they are exiting
     src = str(Path(lsprune.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", _KILLED_MID_WRITE, str(tmp_path / "out.lspg")],
@@ -365,4 +379,5 @@ def test_workers_end_when_the_writer_is_killed(tmp_path):
     assert proc.returncode == -signal.SIGKILL
     pids = [int(pid) for pid in proc.stderr.split()]
     assert len(pids) == forked_workers(2, 1, 8)
-    assert not any(map(_running, pids))
+    deadline = time.monotonic() + 5
+    assert all(_ended(pid, deadline) for pid in pids)
